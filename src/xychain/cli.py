@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -88,6 +89,17 @@ def _sidecar(path: str, args: argparse.Namespace, extra: dict | None = None) -> 
     _write_json(path + ".meta.json", payload)
 
 
+def _emit_table(args, header, rows, json_extra: dict, sidecar_extra: dict | None = None) -> None:
+    """The table as JSON (with json_extra) or as CSV with its .meta.json sidecar."""
+    if args.format == "json":
+        cells = [[c if isinstance(c, str) else float(c) for c in row] for row in rows]
+        _emit_json({"columns": header, "rows": cells, **json_extra}, args.out)
+    else:
+        _write_csv(args.out, header, rows)
+        _sidecar(args.out, args, sidecar_extra)
+        print(f"wrote {args.out}")
+
+
 def _chain_params(args: argparse.Namespace) -> ChainParams:
     return ChainParams(N=args.N, kappa=args.kappa, gamma=args.gamma, h=args.h)
 
@@ -131,17 +143,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                     table.theta[i],
                 )
             )
-    header = ["q2", "sector", "epsilon", "Gamma", "E", "theta"]
-    if args.format == "json":
-        obj = {
-            "columns": header,
-            "rows": [[r[0], r[1], *(float(v) for v in r[2:])] for r in rows],
-        }
-        _emit_json(obj, args.out)
-    else:
-        _write_csv(args.out, header, rows)
-        _sidecar(args.out, args)
-        print(f"wrote {args.out}")
+    _emit_table(args, ["q2", "sector", "epsilon", "Gamma", "E", "theta"], rows, {})
     return EXIT_OK
 
 
@@ -161,18 +163,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         meta["p0"] = list(meta["p0"])
     else:
         raise ConfigError(f"evolve does not support method {args.method!r}")
-    if args.format == "json":
-        obj = {
-            "columns": header,
-            "rows": [[float(v) for v in row] for row in rows],
-            "meta": meta,
-            "run": _runconfig(args).to_dict(),
-        }
-        _emit_json(obj, args.out)
-    else:
-        _write_csv(args.out, header, rows)
-        _sidecar(args.out, args, {"meta": meta, "method": traj.method})
-        print(f"wrote {args.out}")
+    run = _runconfig(args).to_dict()
+    _emit_table(args, header, rows, {"meta": meta, "run": run}, {"meta": meta, "method": traj.method})
     return EXIT_OK
 
 
@@ -182,26 +174,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     kind = BathKind(args.method)
     traj = oracle_trajectory(params, kind, _p0(args), grid, cap=args.cap)
     header = ["t", "px", "py", "pz", "energy", "purity", "parity"]
-    rows = zip(
-        traj.grid,
-        traj.samples[:, 0],
-        traj.samples[:, 1],
-        traj.samples[:, 2],
-        traj.meta["energy"],
-        traj.meta["purity"],
-        traj.meta["parity"],
-    )
-    if args.format == "json":
-        obj = {
-            "columns": header,
-            "rows": [[float(v) for v in row] for row in rows],
-            "run": _runconfig(args).to_dict(),
-        }
-        _emit_json(obj, args.out)
-    else:
-        _write_csv(args.out, header, rows)
-        _sidecar(args.out, args, {"bath": kind.value, "p0": [args.p0x, args.p0y, args.p0z]})
-        print(f"wrote {args.out}")
+    rows = zip(traj.grid, *traj.samples.T, *(traj.meta[k] for k in header[4:]))
+    sidecar = {"bath": kind.value, "p0": [args.p0x, args.p0y, args.p0z]}
+    _emit_table(args, header, rows, {"run": _runconfig(args).to_dict()}, sidecar)
     return EXIT_OK
 
 
@@ -286,6 +261,14 @@ def _scan_task(task) -> tuple[float, float, float, float]:
     return (point.gamma, point.h, point.amplitude, point.mean_pz)
 
 
+def _pool_size(jobs: int, n_tasks: int) -> int:
+    """Workers for ``scan --jobs``: at least 1, at most the tasks and the usable CPUs."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(jobs, n_tasks, cpus)
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     gammas = _float_list(args.gamma)
     hs = _float_list(args.h)
@@ -297,24 +280,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
         for g in gammas
         for h in hs
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = _pool_size(args.jobs, len(tasks))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_task, tasks))
     else:
         rows = [_scan_task(t) for t in tasks]
     rows.sort(key=lambda r: (r[0], r[1]))
     header = ["gamma", "h", "amplitude", "mean_pz"]
-    if args.format == "json":
-        obj = {
-            "columns": header,
-            "rows": [[float(v) for v in row] for row in rows],
-            "run": _runconfig(args).to_dict(),
-        }
-        _emit_json(obj, args.out)
-    else:
-        _write_csv(args.out, header, rows)
-        _sidecar(args.out, args, {"t_max": tmax, "n_points": n_points})
-        print(f"wrote {args.out}")
+    run = _runconfig(args).to_dict()
+    _emit_table(args, header, rows, {"run": run}, {"t_max": tmax, "n_points": n_points})
     return EXIT_OK
 
 

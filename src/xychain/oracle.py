@@ -1,10 +1,12 @@
 """Dense exact-diagonalization oracle for the full ring.
 
 Everything here works in the raw 2^N-dimensional spin space with no
-free-fermion shortcuts: build the Hamiltonian, diagonalize it once, and
-evolve states spectrally.  This is the independent referee for the
-closed forms, so clarity and literalness win over speed.  Costs are
-exponential; construction is capped (default 12 sites, hard limit 14).
+free-fermion shortcuts beyond the parity of the number of down spins,
+which every bond keeps (Lieb, Schultz & Mattis 1961): build each parity
+block of the Hamiltonian from bit flips, diagonalize it, and evolve states
+spectrally.  This is the independent referee for the closed forms.  Costs
+are exponential; construction is capped (default 12 sites, hard limit 14)
+and refused when its estimated memory exceeds what the machine has free.
 
 The fermionic layer (Jordan-Wigner, Fourier, Bogolyubov operators and
 eigenstates assembled from them) is also dense and is used to validate
@@ -43,7 +45,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # |up> -> |down>
-_IW = np.array([[0.0, 1.0], [-1.0, 0.0]])  # i*sigma_y, kept real
 
 DEFAULT_ED_CAP = 12
 HARD_ED_CAP = 14
@@ -66,11 +67,24 @@ class Observable(Enum):
 _OBSERVABLE_MATRIX = {Observable.SX: SIGMA_X, Observable.SY: SIGMA_Y, Observable.SZ: SIGMA_Z}
 
 
-def _check_cap(N: int, cap: int, what: str) -> None:
+def _mem_available() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes; None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as f:
+            return next(int(ln.split()[1]) * 1024 for ln in f if ln.startswith("MemAvailable:"))
+    except (OSError, StopIteration):
+        return None
+
+
+def _check_cap(N: int, cap: int, what: str, nbytes: int = 0) -> None:
+    """Refuse N above the caps, or an estimated nbytes above the free memory."""
     if N > HARD_ED_CAP:
         raise CapExceededError(f"{what} refuses N={N}: hard cap is {HARD_ED_CAP}")
     if N > cap:
         raise CapExceededError(f"{what} at N={N} exceeds cap {cap}")
+    free = _mem_available()
+    if free is not None and nbytes > free:
+        raise CapExceededError(f"{what} at N={N} needs {nbytes / 2**30:.2f} GiB, {free / 2**30:.2f} GiB free")
 
 
 def site_op(op2: np.ndarray, j: int, N: int) -> np.ndarray:
@@ -83,36 +97,41 @@ def site_op(op2: np.ndarray, j: int, N: int) -> np.ndarray:
     return out
 
 
-def _two_site_op(op_a: np.ndarray, ja: int, op_b: np.ndarray, jb: int, N: int) -> np.ndarray:
-    out = np.array([[1.0]])
-    for k in range(1, N + 1):
-        if k == ja:
-            out = np.kron(out, op_a)
-        elif k == jb:
-            out = np.kron(out, op_b)
-        else:
-            out = np.kron(out, ID2)
-    return out
+def _block_index(N: int, parity: Parity) -> np.ndarray:
+    """Ascending basis indices with an even (EVEN) or odd (ODD) number of down spins."""
+    idx = np.arange(1 << N)
+    odd = np.zeros(1 << N, dtype=np.int64)
+    for b in range(N):
+        odd ^= (idx >> b) & 1
+    return idx[odd == (parity is Parity.ODD)]
 
 
-def build_hamiltonian(params: ChainParams, cap: int = DEFAULT_ED_CAP) -> np.ndarray:
-    """Dense ring Hamiltonian, real symmetric.
+def build_hamiltonian(
+    params: ChainParams, cap: int = DEFAULT_ED_CAP, block: Parity | None = None
+) -> np.ndarray:
+    """Dense ring Hamiltonian, real symmetric; one parity block if ``block`` is given.
 
     (kappa/4) sum_j [(1+gamma) sx_j sx_{j+1} + (1-gamma) sy_j sy_{j+1}]
-    + (h/2) sum_j sz_j with site N+1 = site 1.  sy sy = -(i sy)(i sy)
-    keeps every factor real.
+    + (h/2) sum_j sz_j with site N+1 = site 1.  Bit N-j of an index is 1
+    when site j is down.  A bond flips both its spins, with weight 1 from
+    sx sx and -1 (equal spins) or +1 (unequal) from sy sy, so it keeps the
+    number of down spins even or odd: each block is closed under H.
     """
     N = params.N
-    _check_cap(N, cap, "dense Hamiltonian")
-    dim = 1 << N
+    index = np.arange(1 << N) if block is None else _block_index(N, block)
+    dim = index.size
+    _check_cap(N, cap, "dense Hamiltonian", 8 * dim * dim)
+    cols = np.arange(dim)
     H = np.zeros((dim, dim))
     cxx = 0.25 * params.kappa * (1.0 + params.gamma)
     cyy = 0.25 * params.kappa * (1.0 - params.gamma)
     for j in range(1, N + 1):
         jn = 1 if j == N else j + 1
-        H += cxx * _two_site_op(SIGMA_X, j, SIGMA_X, jn, N)
-        H -= cyy * _two_site_op(_IW, j, _IW, jn, N)
-        H += 0.5 * params.h * site_op(SIGMA_Z, j, N)
+        down_j, down_n = (index >> (N - j)) & 1, (index >> (N - jn)) & 1
+        rows = np.searchsorted(index, index ^ ((1 << (N - j)) | (1 << (N - jn))))
+        H[rows, cols] += cxx  # accumulated in the order of the literal operator sum
+        H[rows, cols] -= cyy * np.where(down_j == down_n, 1.0, -1.0)
+        H[cols, cols] += 0.5 * params.h * (1.0 - 2.0 * down_j)
     return H
 
 
@@ -126,7 +145,9 @@ def diagonalize(H: np.ndarray) -> EigenDecomposition:
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ConfigError("Hamiltonian must be a square matrix")
-    if not np.allclose(H, H.conj().T, atol=1e-12):
+    # The exact test passes on every built Hamiltonian and costs one pass;
+    # the tolerant one decides only when it fails.
+    if not np.array_equal(H, H.conj().T) and not np.allclose(H, H.conj().T, atol=1e-12):
         raise ConfigError("Hamiltonian is not Hermitian")
     energies, vectors = np.linalg.eigh(H)
     return EigenDecomposition(energies, vectors)
@@ -187,7 +208,7 @@ def initial_state(kind: BathKind, p0: Polarization3, N: int, cap: int = DEFAULT_
     INFINITE_T: maximally mixed bath on sites 2..N.
     ZERO_T: all bath spins down (field-aligned ground state for h > 0).
     """
-    _check_cap(N, cap, "initial state")
+    _check_cap(N, cap, "initial state", 16 * 4**N)
     rho_s = system_density(p0)
     half = 1 << (N - 1)
     if kind is BathKind.INFINITE_T:
@@ -199,89 +220,85 @@ def initial_state(kind: BathKind, p0: Polarization3, N: int, cap: int = DEFAULT_
     raise ConfigError(f"unknown bath kind {kind!r}")
 
 
-def _parity_diagonal(N: int) -> np.ndarray:
-    """Diagonal of prod_j sz_j in the computational basis."""
-    idx = np.arange(1 << N)
-    pop = np.zeros(1 << N, dtype=np.int64)
-    for b in range(N):
-        pop += (idx >> b) & 1
-    return np.where(pop % 2, -1.0, 1.0)
-
-
 def _real_matmul(V: np.ndarray, C: np.ndarray) -> np.ndarray:
     """V @ C with real V and complex C via two real products."""
-    if np.iscomplexobj(V):
-        return V @ C
     return V @ C.real + 1j * (V @ C.imag)
 
 
-def _zero_t_trajectory(params, p0, grid, eig):
-    N = params.N
-    dim = 1 << N
+def _zero_t_trajectory(params, p0, grid, blocks):
+    """Pure pieces evolve block by block, then go back to spin order for site 1's halves."""
+    dim = 1 << params.N
     half = dim // 2
     w, phi = np.linalg.eigh(system_density(p0))
     bath = np.zeros(half)
-    bath[-1] = 1.0
-    pieces = []
-    for i in range(2):
-        if w[i] <= 1e-15:
-            continue
-        c = eig.vectors.conj().T @ np.kron(phi[:, i], bath)
-        pieces.append((float(w[i]), c))
-    parity_diag = _parity_diagonal(N)
+    bath[-1] = 1.0  # |down...down>
+    pieces = [
+        (float(wi), [_real_matmul(eig.vectors.T, np.kron(v, bath)[index]) for _, index, eig in blocks])
+        for wi, v in zip(w, phi.T)
+        if wi > 1e-15
+    ]
     nt = grid.size
     samples = np.zeros((nt, 3))
-    energy = np.zeros(nt)
-    purity = np.zeros(nt)
-    parity = np.zeros(nt)
+    energy, purity, parity = np.zeros(nt), np.zeros(nt), np.zeros(nt)
     for lo in range(0, nt, _EVOLVE_CHUNK):
         hi = min(lo + _EVOLVE_CHUNK, nt)
-        U = np.exp(-1j * np.outer(eig.energies, grid[lo:hi]))
-        coeffs = [wc[1][:, None] * U for wc in pieces]
-        psis = [_real_matmul(eig.vectors, ck) for ck in coeffs]
-        for (wi, _), ck, psi in zip(pieces, coeffs, psis):
+        U = [np.exp(-1j * np.outer(eig.energies, grid[lo:hi])) for _, _, eig in blocks]
+        coeffs = [[c[:, None] * u for c, u in zip(cs, U)] for _, cs in pieces]
+        for (wi, _), cks in zip(pieces, coeffs):
+            psi = np.empty((dim, hi - lo), dtype=complex)
+            for (block, index, eig), ck in zip(blocks, cks):
+                psi[index] = _real_matmul(eig.vectors, ck)
+                weight = np.abs(ck) ** 2
+                energy[lo:hi] += wi * (eig.energies[:, None] * weight).sum(axis=0)
+                parity[lo:hi] += wi * (1.0 if block is Parity.EVEN else -1.0) * weight.sum(axis=0)
             up, down = psi[:half], psi[half:]
             cross = (up * down.conj()).sum(axis=0)
             samples[lo:hi, 0] += wi * 2.0 * cross.real
             samples[lo:hi, 1] += wi * (-2.0) * cross.imag
             samples[lo:hi, 2] += wi * ((np.abs(up) ** 2).sum(axis=0) - (np.abs(down) ** 2).sum(axis=0))
-            energy[lo:hi] += wi * (eig.energies[:, None] * np.abs(ck) ** 2).sum(axis=0)
-            parity[lo:hi] += wi * (parity_diag[:, None] * np.abs(psi) ** 2).sum(axis=0)
-        for ii, (wi, _) in enumerate(pieces):
-            for jj, (wj, _) in enumerate(pieces):
-                overlap = (coeffs[ii].conj() * coeffs[jj]).sum(axis=0)
+        for (wi, _), ci in zip(pieces, coeffs):
+            for (wj, _), cj in zip(pieces, coeffs):
+                overlap = sum((a.conj() * b).sum(axis=0) for a, b in zip(ci, cj))
                 purity[lo:hi] += wi * wj * np.abs(overlap) ** 2
     return samples, energy, purity, parity
 
 
-def _infinite_t_trajectory(params, p0, grid, eig):
-    N = params.N
-    rho0 = initial_state(BathKind.INFINITE_T, p0, N, cap=HARD_ED_CAP)
-    V = eig.vectors
-    rho_t = V.conj().T @ rho0 @ V  # state in the eigenbasis, evolved by pure phases
-    obs_eigen = {}
-    for name, mat in _OBSERVABLE_MATRIX.items():
-        O = site_op(mat, 1, N)
-        obs_eigen[name] = V.conj().T @ (O @ V)
-    pi_full = _parity_diagonal(N)[:, None] * V
-    obs_eigen["parity"] = V.conj().T @ pi_full
-    nt = grid.size
-    samples = np.zeros((nt, 3))
-    parity = np.zeros(nt)
-    energy = np.full(nt, float((rho_t.diagonal().real * eig.energies).sum()))
-    purity = np.full(nt, float((np.abs(rho_t) ** 2).sum()))
-    G = {key: rho_t * mat.T for key, mat in obs_eigen.items()}
-    for lo in range(0, nt, _EVOLVE_CHUNK):
-        hi = min(lo + _EVOLVE_CHUNK, nt)
-        U = np.exp(-1j * np.outer(eig.energies, grid[lo:hi]))
-        for col, key in enumerate((Observable.SX, Observable.SY, Observable.SZ)):
-            vals = (U * (G[key] @ U.conj())).sum(axis=0)
-            if np.abs(vals.imag).max() > 1e-8:
-                raise XYChainError("observable acquired an imaginary part; oracle inconsistent")
-            samples[lo:hi, col] = vals.real
-        vals = (U * (G["parity"] @ U.conj())).sum(axis=0)
-        parity[lo:hi] = vals.real
-    return samples, energy, purity, parity
+def _infinite_t_trajectory(params, p0, grid, blocks):
+    """tr(rho(t) O) in the block eigenbases, rho(0) = (1 + p0 . sigma_1) / 2^N.
+
+    sz_1 keeps each block.  sx_1 and sy_1 flip site 1, so they only join
+    the even block to the odd one, and px, py are twice the real part of
+    one even-odd sum.  <H>, purity and <parity> are constant under the phases.
+    """
+    dim = 1 << params.N
+    half = dim // 2
+    (_, index_e, eig_e), (_, index_o, eig_o) = blocks
+    V_e, V_o = eig_e.vectors, eig_o.vectors
+    z_e, z_o = (np.where(index < half, 1.0, -1.0)[:, None] for index in (index_e, index_o))  # sz_1
+    flipped = V_o[np.searchsorted(index_o, index_e ^ half)]  # sx_1 V_o, on the even block's rows
+    X = V_e.T @ flipped  # <even| sx_1 |odd>
+    Y = -1j * (V_e.T @ (z_e * flipped))  # <even| sy_1 |odd>
+    Z = (V_e.T @ (z_e * V_e), V_o.T @ (z_o * V_o))
+    rho = [(np.eye(half) + p0.pz * Zb) / dim for Zb in Z]
+    corner = (p0.px * X + p0.py * Y) / dim
+    constants = (
+        sum((r.diagonal() * eig.energies).sum() for r, eig in zip(rho, (eig_e, eig_o))),
+        sum((r**2).sum() for r in rho) + 2.0 * (np.abs(corner) ** 2).sum(),
+        np.trace(rho[0]) - np.trace(rho[1]),
+    )
+    G_z = [r * Zb for r, Zb in zip(rho, Z)]
+    G_x, G_y = corner * X, corner * Y.conj()
+    samples = np.zeros((grid.size, 3))
+    for lo in range(0, grid.size, _EVOLVE_CHUNK):
+        hi = min(lo + _EVOLVE_CHUNK, grid.size)
+        U_e, U_o = (np.exp(-1j * np.outer(eig.energies, grid[lo:hi])) for eig in (eig_e, eig_o))
+        samples[lo:hi, 0] = 2.0 * (U_e * (G_x @ U_o.conj())).sum(axis=0).real
+        samples[lo:hi, 1] = 2.0 * (U_e * (G_y @ U_o.conj())).sum(axis=0).real
+        pz = sum((U * _real_matmul(G, U.conj())).sum(axis=0) for G, U in zip(G_z, (U_e, U_o)))
+        if np.abs(pz.imag).max() > 1e-8:
+            raise XYChainError("observable acquired an imaginary part; oracle inconsistent")
+        samples[lo:hi, 2] = pz.real
+    return (samples, *(np.full(grid.size, float(c)) for c in constants))
 
 
 def oracle_trajectory(
@@ -293,24 +310,30 @@ def oracle_trajectory(
 ) -> Trajectory:
     """Full 3-vector probe trajectory from dense diagonalization.
 
-    meta carries per-sample <H>, full-state purity, and <parity> so runs
-    can be audited for conservation.  Zero-T initial states evolve as a
-    rank-<=2 mixture of pure states (exact); infinite-T states use the
-    spectral representation of tr(rho(t) O), which costs O(4^N) per
-    observable setup and O(4^N) per time chunk.
+    The two parity blocks (dimension n = 2^(N-1)) are built and diagonalized
+    one at a time.  meta carries per-sample <H>, full-state purity, and
+    <parity> so runs can be audited for conservation.  Zero-T initial states
+    evolve as a rank-<=2 mixture of pure states (exact); infinite-T states
+    use the spectral representation of tr(rho(t) O), set up by four n x n
+    products and costing O(n^2) per time point.
     """
     N = params.N
-    _check_cap(N, cap, "oracle trajectory")
+    # Peak in n x n float64 arrays: 6 while eigh runs on the second block (its H, eigh's
+    # copy, output and 2 n^2 workspace, the first block's vectors: 232 MB measured at N = 12,
+    # 3.1 GB at N = 14); about 20 in the infinite-T algebra (589 MB at N = 12).
+    arrays = 20 if kind is BathKind.INFINITE_T else 6
+    _check_cap(N, cap, "oracle trajectory", arrays * 8 * 4 ** (N - 1))
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or (grid.size and grid[0] < 0):
         raise ConfigError("grid must be 1-D, strictly increasing, nonnegative")
-    eig = diagonalize(build_hamiltonian(params, cap))
-    if kind is BathKind.ZERO_T:
-        samples, energy, purity, parity = _zero_t_trajectory(params, p0, grid, eig)
-    elif kind is BathKind.INFINITE_T:
-        samples, energy, purity, parity = _infinite_t_trajectory(params, p0, grid, eig)
-    else:
+    if kind not in (BathKind.ZERO_T, BathKind.INFINITE_T):
         raise ConfigError(f"unknown bath kind {kind!r}")
+    blocks = [
+        (block, _block_index(N, block), diagonalize(build_hamiltonian(params, cap, block)))
+        for block in (Parity.EVEN, Parity.ODD)
+    ]
+    run = _zero_t_trajectory if kind is BathKind.ZERO_T else _infinite_t_trajectory
+    samples, energy, purity, parity = run(params, p0, grid, blocks)
     meta = {
         "bath": kind.value,
         "p0": (p0.px, p0.py, p0.pz),
@@ -330,7 +353,6 @@ class FermionOperators:
 
     params: ChainParams
     a_minus_ops: tuple[np.ndarray, ...]
-    parity_strings: tuple[np.ndarray, ...]  # prod_{n<=m} sz_n for m = 0..N
 
     def a_minus(self, j: int) -> np.ndarray:
         if not 1 <= j <= self.params.N:
@@ -370,7 +392,7 @@ def build_fermion_operators(params: ChainParams, cap: int = DEFAULT_FERMION_CAP)
         zj = np.kron(np.kron(np.ones(1 << (j - 1)), z_diag), np.ones(1 << (N - j)))
         strings.append(strings[-1] * zj)
     a_ops = tuple(strings[j - 1][:, None] * site_op(SIGMA_MINUS, j, N) for j in range(1, N + 1))
-    return FermionOperators(params, a_ops, tuple(np.diag(s) for s in strings))
+    return FermionOperators(params, a_ops)
 
 
 class EigenstateBuilder:
@@ -460,13 +482,15 @@ def _sector_levels(params: ChainParams, parity: Parity):
 def spectrum_equivalence(params: ChainParams, cap: int = DEFAULT_ED_CAP, tol: float = 1e-8) -> SpectrumReport:
     """Compare dense eigenvalues with the fermionic reconstruction.
 
-    Both lists are sorted and paired elementwise; a gap above tol raises
-    SpectrumMismatchError naming the worst configuration.
+    Each parity block's sorted eigenvalues are paired elementwise with its
+    sector's sorted levels; a gap above tol raises SpectrumMismatchError
+    naming the worst configuration.  The report lists both spectra sorted.
     """
-    _check_cap(params.N, cap, "spectrum equivalence")
-    dense = np.linalg.eigvalsh(build_hamiltonian(params, cap))
-    pairs = _sector_levels(params, Parity.ODD) + _sector_levels(params, Parity.EVEN)
-    pairs.sort(key=lambda ec: ec[0])
+    dense, pairs = [], []
+    for parity in (Parity.ODD, Parity.EVEN):
+        dense.append(np.linalg.eigvalsh(build_hamiltonian(params, cap, parity)))
+        pairs += sorted(_sector_levels(params, parity), key=lambda ec: ec[0])
+    dense = np.concatenate(dense)
     recon = np.array([e for e, _ in pairs])
     gaps = np.abs(dense - recon)
     worst = int(np.argmax(gaps))
@@ -477,7 +501,7 @@ def spectrum_equivalence(params: ChainParams, cap: int = DEFAULT_ED_CAP, tol: fl
             worst_config=pairs[worst][1],
             mismatch=mismatch,
         )
-    return SpectrumReport(params, mismatch, dense, recon)
+    return SpectrumReport(params, mismatch, np.sort(dense), np.sort(recon))
 
 
 def eigen_matrix_element(

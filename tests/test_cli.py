@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xychain import __version__
-from xychain.cli import main
+from xychain.cli import _pool_size, main
 
 
 def _read_csv(path):
@@ -31,6 +33,36 @@ def test_version_subprocess():
         capture_output=True, text=True, check=True,
     )
     assert __version__ in proc.stdout
+
+
+def test_bytes_across_blas_thread_counts(tmp_path):
+    # The README commands: closed-form bytes do not depend on the BLAS thread
+    # count; dense-oracle bytes may, but agree within 1e-13 across counts.
+    # One process runs at a time, with at most 2 threads.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    commands = (
+        "oracle --N 10 --method zero_T --p0x 0.6 --p0z 0.8 --tmax 5 --out ed.csv",
+        "evolve --N 100 --tmax 400 --points 40001 --out pz.csv",
+    )
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        (tmp_path / threads).mkdir()
+        for command in commands:
+            subprocess.run(
+                [sys.executable, "-m", "xychain", *command.split()],
+                cwd=tmp_path / threads, env=env, capture_output=True, check=True, timeout=300,
+            )
+    one, two = tmp_path / "1", tmp_path / "2"
+    for name in ("pz.csv", "pz.csv.meta.json", "ed.csv.meta.json"):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    header, rows_one = _read_csv(one / "ed.csv")
+    _, rows_two = _read_csv(two / "ed.csv")
+    a = np.array(rows_one, dtype=float)
+    b = np.array(rows_two, dtype=float)
+    assert a.shape == b.shape == (1001, len(header))
+    assert np.array_equal(a[:, 0], b[:, 0])
+    assert np.abs(a - b).max() <= 1e-13
 
 
 class TestSpectrum:
@@ -196,3 +228,16 @@ class TestScan:
         assert main([
             "scan", "--N", "50", "--gamma", "0", "--h", "2", "--tmax", "10", "--out", out,
         ]) == 2
+
+    def test_jobs_bounds(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "scan.csv")
+        for jobs in ("0", "-3"):
+            argv = ["scan", "--N", "8", "--gamma", "0", "--h", "2", "--jobs", jobs, "--out", out]
+            assert main(argv) == 2
+        assert not (tmp_path / "scan.csv").exists()
+        # validation only: no pool is started here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert _pool_size(64, 9) == 4
+        assert _pool_size(64, 3) == 3
+        assert _pool_size(2, 9) == 2
+        assert _pool_size(1, 1) == 1

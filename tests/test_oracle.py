@@ -14,6 +14,7 @@ from xychain import (
     Observable,
     Parity,
     Polarization3,
+    SpectrumMismatchError,
     build_fermion_operators,
     build_hamiltonian,
     build_sectors,
@@ -33,8 +34,10 @@ from xychain import (
     spectral_table,
     spectrum_equivalence,
 )
-from xychain.oracle import SIGMA_Y, site_op
+from xychain import oracle
+from xychain.oracle import _OBSERVABLE_MATRIX, SIGMA_X, SIGMA_Y, SIGMA_Z, site_op
 
+IW = np.array([[0.0, 1.0], [-1.0, 0.0]])  # i sigma_y, real
 P6 = ChainParams(N=6, kappa=1.0, gamma=1.0, h=2.0)
 P0 = Polarization3(0.6, 0.0, 0.8)
 
@@ -57,6 +60,111 @@ def test_hamiltonian_matches_complex_construction():
         ref += 0.5 * params.h * sz[j]
     assert np.abs(ref.imag).max() < 1e-13
     assert np.abs(H - ref.real).max() < 1e-13
+
+
+def _literal_hamiltonian(params):
+    """The operator sum with site_op factors, accumulated bond by bond."""
+    N = params.N
+    cxx = 0.25 * params.kappa * (1.0 + params.gamma)
+    cyy = 0.25 * params.kappa * (1.0 - params.gamma)
+    H = np.zeros((2**N, 2**N))
+    for j in range(1, N + 1):
+        jn = 1 if j == N else j + 1
+        H += cxx * (site_op(SIGMA_X, j, N) @ site_op(SIGMA_X, jn, N))
+        H -= cyy * (site_op(IW, j, N) @ site_op(IW, jn, N))
+        H += 0.5 * params.h * site_op(SIGMA_Z, j, N)
+    return H
+
+
+def _block(N, parity):
+    want = 1 if parity is Parity.ODD else 0
+    return np.array([i for i in range(2**N) if bin(i).count("1") % 2 == want])
+
+
+@pytest.mark.parametrize("N", [2, 4, 6, 8])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_bit_built_hamiltonian_and_blocks(N, gamma):
+    params = ChainParams(N=N, kappa=1.3, gamma=gamma, h=2.0)
+    H = build_hamiltonian(params)
+    assert np.array_equal(H, _literal_hamiltonian(params))
+    for parity in (Parity.EVEN, Parity.ODD):
+        idx = _block(N, parity)
+        assert np.array_equal(build_hamiltonian(params, block=parity), H[np.ix_(idx, idx)])
+
+
+def _reference_trajectory(params, kind, p0, grid):
+    """Full-matrix eigh and the spectral evolution formulas on the whole space."""
+    N = params.N
+    half = 2 ** (N - 1)
+    energies, V = np.linalg.eigh(_literal_hamiltonian(params))
+    pi = np.diag([(-1.0) ** bin(i).count("1") for i in range(2**N)])
+    U = np.exp(-1j * np.outer(energies, grid))
+    if kind is BathKind.INFINITE_T:
+        rho = V.T @ initial_state(kind, p0, N) @ V
+        obs = [V.T @ site_op(_OBSERVABLE_MATRIX[o], 1, N) @ V for o in Observable] + [V.T @ pi @ V]
+        vals = [(U * ((rho * o.T) @ U.conj())).sum(axis=0).real for o in obs]
+        energy = np.full(grid.size, (rho.diagonal().real * energies).sum())
+        purity = np.full(grid.size, (np.abs(rho) ** 2).sum())
+        return np.stack(vals[:3], axis=1), energy, purity, vals[3]
+    w, phi = np.linalg.eigh(oracle.system_density(p0))
+    bath = np.zeros(half)
+    bath[-1] = 1.0
+    coeffs = [(V.T @ np.kron(phi[:, i], bath))[:, None] * U for i in range(2)]
+    psis = [V @ c for c in coeffs]
+    samples = sum(
+        wi * np.array([polarization(reduce_to_system(psi[:, k])) for k in range(grid.size)])
+        for wi, psi in zip(w, psis)
+    )
+    energy = sum(wi * (energies[:, None] * np.abs(c) ** 2).sum(axis=0) for wi, c in zip(w, coeffs))
+    parity = sum(
+        wi * (pi.diagonal()[:, None] * np.abs(psi) ** 2).sum(axis=0) for wi, psi in zip(w, psis)
+    )
+    purity = sum(
+        wi * wj * np.abs((ci.conj() * cj).sum(axis=0)) ** 2
+        for wi, ci in zip(w, coeffs)
+        for wj, cj in zip(w, coeffs)
+    )
+    return samples, energy, purity, parity
+
+
+@pytest.mark.parametrize("N", [6, 8, 10])
+@pytest.mark.parametrize("kind", [BathKind.ZERO_T, BathKind.INFINITE_T])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_block_oracle_matches_full_matrix_reference(N, kind, gamma):
+    params = ChainParams(N=N, kappa=1.0, gamma=gamma, h=2.0)
+    p0 = Polarization3(0.3, -0.4, 0.5)  # mixed, so zero T evolves two pieces
+    grid = np.linspace(0.0, 12.0, 260)  # crosses an evolution-chunk boundary
+    traj = oracle_trajectory(params, kind, p0, grid)
+    samples, energy, purity, parity = _reference_trajectory(params, kind, p0, grid)
+    assert np.abs(traj.samples - samples).max() < 1e-12
+    assert np.abs(traj.meta["energy"] - energy).max() < 1e-12
+    assert np.abs(traj.meta["purity"] - purity).max() < 1e-12
+    assert np.abs(traj.meta["parity"] - parity).max() < 1e-12
+
+
+def test_memory_estimate_refuses_before_allocating(monkeypatch):
+    available = oracle._mem_available()  # read from /proc/meminfo where it exists
+    assert available is None or available > 0
+
+    class Built(Exception):
+        pass
+
+    def no_build(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(oracle, "build_hamiltonian", no_build)
+    big = ChainParams(N=14, h=5.0)
+    monkeypatch.setattr(oracle, "_mem_available", lambda: 7 * 2**30)  # a 7 GiB machine
+    with pytest.raises(CapExceededError, match="GiB"):
+        oracle_trajectory(big, BathKind.INFINITE_T, P0, np.array([0.0]), cap=14)
+    with pytest.raises(Built):  # zero T at N = 14 (3.1 GB measured) passes the estimate
+        oracle_trajectory(big, BathKind.ZERO_T, P0, np.array([0.0]), cap=14)
+    monkeypatch.setattr(oracle, "_mem_available", lambda: 2**30)
+    with pytest.raises(Built):  # N = 12 stays within 1 GiB at either temperature
+        oracle_trajectory(ChainParams(N=12, h=5.0), BathKind.INFINITE_T, P0, np.array([0.0]))
+    monkeypatch.setattr(oracle, "_mem_available", lambda: 2**20)
+    with pytest.raises(CapExceededError):
+        initial_state(BathKind.ZERO_T, P0, 10)  # needs 16 MiB
 
 
 def test_hamiltonian_commutes_with_parity():
@@ -96,6 +204,14 @@ def test_diagonalize_and_evolve():
     assert np.abs(rho_t - np.outer(psi_t, psi_t.conj())).max() < 1e-12
     with pytest.raises(ConfigError):
         evolve(psi[:5], eig, 1.0)
+
+
+def test_diagonalize_tolerates_rounding_asymmetry_only():
+    # the exact test decides first; the tolerant fallback (np.allclose with
+    # atol 1e-12 and its default rtol 1e-5) accepts rounding-level asymmetry only
+    assert diagonalize(np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]])).energies.size == 2
+    with pytest.raises(ConfigError):
+        diagonalize(np.array([[0.0, 1.0], [1.0 + 1e-3, 0.0]]))
 
 
 def test_initial_state_and_reduction_roundtrip():
@@ -236,6 +352,15 @@ def test_spectrum_equivalence_report():
     t_even = spectral_table(P6, sector_for(P6, Parity.EVEN))
     dense0 = np.linalg.eigvalsh(build_hamiltonian(P6))[0]
     assert abs(dense0 - (-0.5 * t_even.E.sum())) < 1e-12
+
+
+def test_spectrum_equivalence_pairs_each_block_with_its_sector(monkeypatch):
+    # swapping the sectors leaves the merged spectrum unchanged; a per-sector check must see it
+    levels = oracle._sector_levels
+    other = {Parity.ODD: Parity.EVEN, Parity.EVEN: Parity.ODD}
+    monkeypatch.setattr(oracle, "_sector_levels", lambda params, parity: levels(params, other[parity]))
+    with pytest.raises(SpectrumMismatchError):
+        spectrum_equivalence(P6)
 
 
 def test_matrix_elements_against_dense_states():
