@@ -39,11 +39,11 @@ from .chain import (
     spectral_table,
 )
 from .dynamics import (
-    ABSums,
+    BathKind,
     FermionConfig,
     MatElemKind,
+    Method,
     Trajectory,
-    ab_sums,
     matelem_diagonal,
     matelem_offdiag,
     pz_closed_form,
@@ -63,7 +63,6 @@ from .errors import (
     XYChainError,
 )
 from .oracle import (
-    BathKind,
     EigenDecomposition,
     EigenstateBuilder,
     FermionOperators,

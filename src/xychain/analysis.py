@@ -9,13 +9,14 @@ between successive local maxima.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .approx import regular_stage_pz
 from .chain import ChainParams
-from .dynamics import Trajectory, pz_trajectory
+from .dynamics import BathKind, Trajectory, pz_trajectory
 from .errors import (
     ConfigError,
     GridTooCoarseError,
@@ -81,6 +82,9 @@ class ScanPoint:
         return asdict(self)
 
 
+REVIVAL_FRACTION = 0.35  # a revival peak counts from this share of the tallest one
+
+
 def _envelope_crossing(t: np.ndarray, s: np.ndarray, level: float) -> float:
     """First time the decay envelope of s drops below level.
 
@@ -113,19 +117,16 @@ def timescales(traj: Trajectory) -> TimescaleReport:
     """Half-decay times of transverse coherence and of the pz gap.
 
     Decoherence: |p_perp| envelope falling to half its initial value.
-    Thermalization: pz approaching its stationary target (-1 for a
-    zero-temperature bath, 2 p0z / N for an infinite-temperature one)
-    to half the initial gap.
+    Thermalization: pz approaching the stationary target of the
+    trajectory's bath (-1 for BathKind.ZERO_T, 2 p0z / N for
+    BathKind.INFINITE_T) to half the initial gap.
     """
     if not traj.is_vector:
         raise ConfigError("timescales need full (px, py, pz) samples")
-    bath = traj.meta.get("bath")
-    if bath == "zero_T":
+    if traj.bath is BathKind.ZERO_T:
         target = -1.0
-    elif bath == "infinite_T":
-        target = 2.0 * float(traj.samples[0, 2]) / traj.params.N
     else:
-        raise ConfigError("trajectory meta lacks a bath tag ('zero_T' or 'infinite_T')")
+        target = 2.0 * float(traj.samples[0, 2]) / traj.params.N
     p_perp = np.hypot(traj.samples[:, 0], traj.samples[:, 1])
     gap = traj.samples[:, 2] - target
     if p_perp[0] <= 0:
@@ -150,26 +151,16 @@ def _pz_of(traj: Trajectory) -> np.ndarray:
     return traj.samples[:, 2] if traj.is_vector else traj.samples
 
 
-def detect_stages(
-    traj: Trajectory,
-    params: ChainParams,
-    p0z: float,
-    *,
-    delta_frac: float = 0.02,
-    sustain_time: float | None = None,
-    min_separation: float | None = None,
-    revival_fraction: float = 0.35,
-) -> StageReport:
+def detect_stages(traj: Trajectory, params: ChainParams, p0z: float, *, delta_frac: float = 0.02) -> StageReport:
     """Locate the end of the regular stage, revivals, and their demise.
 
-    The regular stage ends at the first window of length sustain_time
-    (default 1/kappa) over which |pz - p0z J0(kappa t)^2| > delta with
-    delta = delta_frac |p0z|.  Revival peaks are local maxima of |pz|
-    after that point, kept if taller than revival_fraction of the
-    tallest and separated by at least min_separation (default N/4kappa).
-    The chaotic stage starts when |pz| stays below half the last strong
-    revival for a sustained window; if that never happens inside the
-    grid, the final grid time is reported.
+    The regular stage ends at the first window of length 1/kappa over
+    which |pz - p0z J0(kappa t)^2| > delta with delta = delta_frac |p0z|.
+    Revival peaks are local maxima of |pz| after that point, kept if
+    taller than REVIVAL_FRACTION (0.35) of the tallest and separated by at
+    least N/(4 kappa).  The chaotic stage starts when |pz| stays below half
+    the last strong revival for a window of 1/kappa; if that never happens
+    inside the grid, the final grid time is reported.
     """
     if traj.params != params:
         raise ConfigError("trajectory was computed with different parameters")
@@ -185,7 +176,7 @@ def detect_stages(
     pz = _pz_of(traj)
     delta = delta_frac * abs(p0z)
     mean_step = float(t[-1] - t[0]) / (t.size - 1)
-    win = max(1, int(np.ceil((sustain_time or 1.0 / params.kappa) / mean_step)))
+    win = max(1, int(np.ceil((1.0 / params.kappa) / mean_step)))
     dev = np.abs(pz - regular_stage_pz(p0z, params.kappa, t)) > delta
     start = _sustained(dev, win)
     if start is None:
@@ -200,14 +191,14 @@ def detect_stages(
     peaks = np.nonzero((seg[1:-1] >= seg[:-2]) & (seg[1:-1] >= seg[2:]))[0] + 1 + lo
     if peaks.size == 0:
         return StageReport(t_reg, (), float(t[-1]), delta)
-    sep = min_separation if min_separation is not None else params.N / (4.0 * params.kappa)
+    sep = params.N / (4.0 * params.kappa)
     order = np.argsort(-apz[peaks], kind="stable")
     accepted: list[int] = []
     for i in peaks[order]:
         if all(abs(t[i] - t[j]) >= sep for j in accepted):
             accepted.append(int(i))
     tallest = apz[accepted[0]]
-    keep = sorted(i for i in accepted if apz[i] >= revival_fraction * tallest)
+    keep = sorted(i for i in accepted if apz[i] >= REVIVAL_FRACTION * tallest)
     revivals = tuple((float(t[i]), float(apz[i])) for i in keep)
 
     first_height = revivals[0][1]
@@ -263,33 +254,56 @@ def anisotropy_field_scan(
     p0z: float = 1.0,
     t_max: float | None = None,
     n_points: int | None = None,
-    strict: bool = True,
+    jobs: int = 1,
 ) -> list[ScanPoint]:
     """Late-time pz oscillation metrics over a (gamma, h) grid.
 
     Shares one time grid across all points (resolution set by the
-    largest field), measures max - min and mean of pz over
-    t in [N/kappa, t_max], and returns rows sorted by (gamma, h).
+    largest field, see scan_grid_spec), measures max - min and mean of pz
+    over t in [N/kappa, t_max], and returns rows sorted by (gamma, h).
+    jobs > 1 spreads the points over a process pool of at most jobs
+    workers, capped at the number of points and of usable CPUs; each
+    point is computed the same way in any process, so the rows do not
+    depend on jobs.
     """
     gammas = [float(g) for g in gammas]
     hs = [float(h) for h in hs]
     if not gammas or not hs:
         raise ConfigError("scan needs at least one gamma and one h")
     t_max, n_points = scan_grid_spec(N, kappa, hs, t_max, n_points)
-    grid = np.linspace(0.0, t_max, n_points)
-    rows = [
-        scan_metric(ChainParams(N=N, kappa=kappa, gamma=g, h=h, strict=strict), p0z, grid)
-        for g in gammas
-        for h in hs
-    ]
+    tasks = [(ChainParams(N=N, kappa=kappa, gamma=g, h=h), p0z, t_max, n_points) for g in gammas for h in hs]
+    workers = _pool_size(jobs, len(tasks))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_scan_task, tasks))
+    else:
+        rows = [_scan_task(task) for task in tasks]
     rows.sort(key=lambda r: (r.gamma, r.h))
     return rows
+
+
+def _scan_task(task) -> ScanPoint:
+    """One scan point from (params, p0z, t_max, n_points); the grid is built where it is used."""
+    params, p0z, t_max, n_points = task
+    return scan_metric(params, p0z, np.linspace(0.0, t_max, n_points))
+
+
+def _pool_size(jobs: int, n_tasks: int) -> int:
+    """Scan workers: at least 1, at most the tasks and the usable CPUs."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(jobs, n_tasks, cpus)
 
 
 def scan_grid_spec(N: int, kappa: float, hs, t_max: float | None, n_points: int | None):
     """Resolve the shared (t_max, n_points) of a scan grid."""
     if t_max is None:
         t_max = 3.0 * N / kappa
+    if not np.isfinite(t_max):
+        raise ConfigError(f"t_max must be finite, got {t_max}")
     if t_max <= N / kappa:
         raise ConfigError("t_max must exceed N/kappa to leave a late-time window")
     if n_points is None:

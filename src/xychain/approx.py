@@ -18,7 +18,7 @@ import numpy as np
 
 from .bessel import bessel_j0
 from .chain import ChainParams
-from .dynamics import Trajectory
+from .dynamics import BathKind, Method, Trajectory
 from .errors import ConfigError
 
 
@@ -49,33 +49,36 @@ class Polarization3:
         return cls(float(x), float(y), float(z))
 
 
+def _niemeijer(p0: Polarization3, h: float, kappa: float, t: np.ndarray) -> np.ndarray:
+    """(n, 3) zero-temperature weak-coupling Bloch vectors at the times t.
+
+    A rotation at the field frequency combined with a J0(kappa t)
+    contraction toward the south pole.
+    """
+    j = bessel_j0(kappa * t)
+    c = np.cos(h * t)
+    s = np.sin(h * t)
+    samples = np.empty((t.size, 3))
+    samples[:, 0] = j * (p0.px * c - p0.py * s)
+    samples[:, 1] = j * (p0.px * s + p0.py * c)
+    samples[:, 2] = -1.0 + (1.0 + p0.pz) * j * j
+    return samples
+
+
 def niemeijer_solution(p0: Polarization3, h: float, kappa: float, t: float) -> Polarization3:
     """Zero-temperature weak-coupling polarization at time t.
 
     Exact in the gamma = 0, kappa << h, t < N/kappa regime; the output is
-    a valid Bloch vector for any input (the map is a rotation combined
-    with a J0 contraction toward the south pole).
+    a valid Bloch vector for any input.
     """
-    j = bessel_j0(kappa * t)
-    c, s = math.cos(h * t), math.sin(h * t)
-    px = j * (p0.px * c - p0.py * s)
-    py = j * (p0.px * s + p0.py * c)
-    pz = -1.0 + (1.0 + p0.pz) * j * j
-    return Polarization3(px, py, pz)
+    return Polarization3.from_array(_niemeijer(p0, h, kappa, np.array([float(t)]))[0])
 
 
 def niemeijer_trajectory(p0: Polarization3, params: ChainParams, grid) -> Trajectory:
-    """Vectorized Niemeijer solution with regime-validity flags in meta."""
+    """The Niemeijer solution over a grid, with regime-validity flags in meta."""
     grid = np.asarray(grid, dtype=np.float64)
-    j = bessel_j0(params.kappa * grid)
-    c = np.cos(params.h * grid)
-    s = np.sin(params.h * grid)
-    samples = np.empty((grid.size, 3))
-    samples[:, 0] = j * (p0.px * c - p0.py * s)
-    samples[:, 1] = j * (p0.px * s + p0.py * c)
-    samples[:, 2] = -1.0 + (1.0 + p0.pz) * j * j
+    samples = _niemeijer(p0, params.h, params.kappa, grid)
     meta = {
-        "bath": "zero_T",
         "p0": (p0.px, p0.py, p0.pz),
         "validity": {
             "gamma_zero": params.gamma == 0.0,
@@ -83,7 +86,7 @@ def niemeijer_trajectory(p0: Polarization3, params: ChainParams, grid) -> Trajec
             "grid_before_wraparound": bool(grid.size == 0 or grid[-1] < params.N / params.kappa),
         },
     }
-    return Trajectory(grid, samples, params, "niemeijer", meta)
+    return Trajectory(grid, samples, params, Method.NIEMEIJER, BathKind.ZERO_T, meta)
 
 
 def regular_stage_pz(p0z: float, kappa: float, t):

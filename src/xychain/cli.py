@@ -14,20 +14,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .analysis import detect_stages, quiet_cold, scan_grid_spec, scan_metric, timescales
+from .analysis import anisotropy_field_scan, detect_stages, quiet_cold, scan_grid_spec, timescales
 from .approx import Polarization3, niemeijer_trajectory
 from .chain import ChainParams, build_sectors, spectral_table
-from .dynamics import DEFAULT_CONFIG_SUM_CAP, pz_closed_form, pz_config_sum, pz_trajectory
+from .dynamics import DEFAULT_CONFIG_SUM_CAP, BathKind, pz_closed_form, pz_config_sum, pz_trajectory
 from .errors import AnalysisError, CapExceededError, ConfigError
-from .oracle import DEFAULT_ED_CAP, BathKind, oracle_trajectory
+from .oracle import DEFAULT_ED_CAP, oracle_trajectory
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -104,11 +102,15 @@ def _chain_params(args: argparse.Namespace) -> ChainParams:
     return ChainParams(N=args.N, kappa=args.kappa, gamma=args.gamma, h=args.h)
 
 
-def _grid(args: argparse.Namespace) -> np.ndarray:
-    if args.tmax is None or args.tmax <= 0:
-        raise ConfigError("--tmax must be positive")
-    if args.points < 1:
+def _check_time_axis(tmax: float | None, points: int) -> None:
+    if tmax is None or not (tmax > 0 and np.isfinite(tmax)):
+        raise ConfigError("--tmax must be positive and finite")
+    if points < 1:
         raise ConfigError("--points must be at least 1")
+
+
+def _grid(args: argparse.Namespace) -> np.ndarray:
+    _check_time_axis(args.tmax, args.points)
     return np.linspace(0.0, args.tmax, args.points)
 
 
@@ -154,17 +156,15 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         traj = pz_trajectory(params, args.p0z, grid)
         header = ["t", "pz"]
         rows = zip(traj.grid, traj.samples)
-        meta = dict(traj.meta)
     elif args.method == "niemeijer":
         traj = niemeijer_trajectory(_p0(args), params, grid)
         header = ["t", "px", "py", "pz"]
         rows = ((t, *row) for t, row in zip(traj.grid, traj.samples))
-        meta = dict(traj.meta)
-        meta["p0"] = list(meta["p0"])
     else:
         raise ConfigError(f"evolve does not support method {args.method!r}")
+    meta = {**traj.meta, "bath": traj.bath.value}
     run = _runconfig(args).to_dict()
-    _emit_table(args, header, rows, {"meta": meta, "run": run}, {"meta": meta, "method": traj.method})
+    _emit_table(args, header, rows, {"meta": meta, "run": run}, {"meta": meta, "method": traj.method.value})
     return EXIT_OK
 
 
@@ -183,8 +183,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     params = _chain_params(args)
     tmax = args.tmax if args.tmax is not None else 4.0 * args.N / args.kappa
-    if tmax <= 0:
-        raise ConfigError("--tmax must be positive")
+    _check_time_axis(tmax, args.points)
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
+    p0 = Polarization3(0.0, 0.0, args.p0z)
     rng = np.random.default_rng(args.seed)
     times = np.unique(rng.uniform(0.0, tmax, args.points))
     values: dict[str, list[float]] = {}
@@ -197,9 +199,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         skipped.append("config_sum")
     if args.N <= args.cap:
-        traj = oracle_trajectory(
-            params, BathKind.INFINITE_T, Polarization3(0.0, 0.0, args.p0z), times, cap=args.cap
-        )
+        traj = oracle_trajectory(params, BathKind.INFINITE_T, p0, times, cap=args.cap)
         values["ed_oracle"] = [float(v) for v in traj.samples[:, 2]]
     else:
         skipped.append("ed_oracle")
@@ -254,39 +254,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _scan_task(task) -> tuple[float, float, float, float]:
-    params, p0z, tmax, n_points = task
-    grid = np.linspace(0.0, tmax, n_points)
-    point = scan_metric(params, p0z, grid)
-    return (point.gamma, point.h, point.amplitude, point.mean_pz)
-
-
-def _pool_size(jobs: int, n_tasks: int) -> int:
-    """Workers for ``scan --jobs``: at least 1, at most the tasks and the usable CPUs."""
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(jobs, n_tasks, cpus)
-
-
 def cmd_scan(args: argparse.Namespace) -> int:
-    gammas = _float_list(args.gamma)
     hs = _float_list(args.h)
-    if not gammas or not hs:
-        raise ConfigError("scan needs nonempty --gamma and --h lists")
+    points = anisotropy_field_scan(
+        args.N, args.kappa, _float_list(args.gamma), hs, args.p0z, args.tmax, args.points, jobs=args.jobs
+    )
     tmax, n_points = scan_grid_spec(args.N, args.kappa, hs, args.tmax, args.points)
-    tasks = [
-        (ChainParams(N=args.N, kappa=args.kappa, gamma=g, h=h), args.p0z, tmax, n_points)
-        for g in gammas
-        for h in hs
-    ]
-    jobs = _pool_size(args.jobs, len(tasks))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_task, tasks))
-    else:
-        rows = [_scan_task(t) for t in tasks]
-    rows.sort(key=lambda r: (r[0], r[1]))
+    rows = [(p.gamma, p.h, p.amplitude, p.mean_pz) for p in points]
     header = ["gamma", "h", "amplitude", "mean_pz"]
     run = _runconfig(args).to_dict()
     _emit_table(args, header, rows, {"run": run}, {"t_max": tmax, "n_points": n_points})

@@ -24,25 +24,23 @@ import numpy as np
 from .chain import ChainParams, MomentumSector, Parity, SpectralTable, build_sectors, spectral_table
 from .errors import CapExceededError, ConfigError, XYChainError
 
-_KNOWN_METHODS = frozenset({"closed_form", "config_sum", "niemeijer", "ed_oracle"})
-
 # Cap the time-axis chunk so the (nt, N) phase matrices stay ~32 MB.
 _CHUNK_ELEMENTS = 1 << 22
 
 
-@dataclass(frozen=True)
-class ABSums:
-    """Sector averages entering the closed form at a single time."""
+class BathKind(Enum):
+    """Initial state of the ring around the probe: fully mixed, or all spins down."""
 
-    t: float
-    A_odd: float
-    A_even: float
-    B_odd: float
-    B_even: float
+    INFINITE_T = "infinite_T"
+    ZERO_T = "zero_T"
 
-    @property
-    def sum_of_squares(self) -> float:
-        return self.A_odd**2 + self.A_even**2 + self.B_odd**2 + self.B_even**2
+
+class Method(Enum):
+    """The route that computed a trajectory."""
+
+    CLOSED_FORM = "closed_form"
+    NIEMEIJER = "niemeijer"
+    ED_ORACLE = "ed_oracle"
 
 
 @dataclass
@@ -55,7 +53,8 @@ class Trajectory:
     grid: np.ndarray
     samples: np.ndarray
     params: ChainParams
-    method: str
+    method: Method
+    bath: BathKind
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -79,8 +78,10 @@ class Trajectory:
             raise ConfigError("samples must be (n,) or (n, 3)")
         if mag.size and mag.max() > 1.0 + 1e-9:
             raise ConfigError(f"polarization left the Bloch ball: |p| = {mag.max()}")
-        if self.method not in _KNOWN_METHODS:
-            raise ConfigError(f"unknown method tag {self.method!r}")
+        if not isinstance(self.method, Method):
+            raise ConfigError(f"method must be a Method, got {self.method!r}")
+        if not isinstance(self.bath, BathKind):
+            raise ConfigError(f"bath must be a BathKind, got {self.bath!r}")
 
     @property
     def n_samples(self) -> int:
@@ -91,60 +92,49 @@ class Trajectory:
         return self.samples.ndim == 2
 
 
-def _check_table_pair(table_odd: SpectralTable, table_even: SpectralTable) -> None:
-    if table_odd.sector.parity is not Parity.ODD or table_even.sector.parity is not Parity.EVEN:
-        raise ConfigError("tables must be (odd, even) in that order")
-    if table_odd.params != table_even.params:
-        raise ConfigError("tables built from different parameters")
+def _ab_arrays(params: ChainParams, grid: np.ndarray):
+    """Sector averages (A_odd, A_even, B_odd, B_even) over a time grid.
 
-
-def _ab_arrays(table_odd: SpectralTable, table_even: SpectralTable, grid: np.ndarray):
-    """Vectorized sector averages over a time grid, chunked along time.
-
-    Chunking never changes results: each time row is reduced
-    independently, so outputs are bit-identical to a single-call layout.
+    Per sector A = (1/N) sum_q cos(E_q t) and B = (1/N) sum_q cos(theta_q)
+    sin(E_q t), exactly (1, 1, 0, 0) at t = 0.  Each time row is reduced on
+    its own, so a value does not depend on the other grid points or on the
+    chunking along time.
     """
-    N = table_odd.params.N
+    N = params.N
     nt = grid.size
-    out = []
-    step = max(1, _CHUNK_ELEMENTS // max(N, 1))
-    for tab in (table_odd, table_even):
-        A = np.empty(nt)
-        B = np.empty(nt)
+    step = max(1, _CHUNK_ELEMENTS // N)
+    A, B = [], []
+    for sector in build_sectors(params):  # odd, then even
+        tab = spectral_table(params, sector)
+        a = np.empty(nt)
+        b = np.empty(nt)
         for lo in range(0, nt, step):
             hi = min(lo + step, nt)
             phases = np.outer(grid[lo:hi], tab.E)
-            A[lo:hi] = np.cos(phases).sum(axis=-1)
+            a[lo:hi] = np.cos(phases).sum(axis=-1)
             np.sin(phases, out=phases)
-            B[lo:hi] = (tab.cos_theta * phases).sum(axis=-1)
-        out.append(A / N)
-        out.append(B / N)
-    return out[0], out[2], out[1], out[3]  # A_odd, A_even, B_odd, B_even
+            b[lo:hi] = (tab.cos_theta * phases).sum(axis=-1)
+        A.append(a / N)
+        B.append(b / N)
+    return (*A, *B)
 
 
-def ab_sums(table_odd: SpectralTable, table_even: SpectralTable, t: float) -> ABSums:
-    """Sector averages at one time; exact (1, 1, 0, 0) at t = 0."""
-    _check_table_pair(table_odd, table_even)
-    grid = np.asarray([float(t)])
-    Ao, Ae, Bo, Be = _ab_arrays(table_odd, table_even, grid)
-    return ABSums(float(t), float(Ao[0]), float(Ae[0]), float(Bo[0]), float(Be[0]))
+def _pz(params: ChainParams, p0z: float, grid: np.ndarray) -> np.ndarray:
+    """Half of p0z times the sum of the four squared sector averages."""
+    Ao, Ae, Bo, Be = _ab_arrays(params, grid)
+    return 0.5 * p0z * (Ao * Ao + Ae * Ae + Bo * Bo + Be * Be)
 
 
 def pz_closed_form(params: ChainParams, p0z: float, t: float) -> float:
     """Probe pz at time t for the infinite-temperature ring."""
-    odd, even = build_sectors(params)
-    s = ab_sums(spectral_table(params, odd), spectral_table(params, even), t)
-    return 0.5 * p0z * s.sum_of_squares
+    return float(_pz(params, p0z, np.array([float(t)]))[0])
 
 
 def pz_trajectory(params: ChainParams, p0z: float, grid) -> Trajectory:
-    """Closed-form pz over a grid; pointwise bit-identical to pz_closed_form."""
+    """Closed-form pz over a grid; pointwise equal to pz_closed_form."""
     grid = np.asarray(grid, dtype=np.float64)
-    odd, even = build_sectors(params)
-    Ao, Ae, Bo, Be = _ab_arrays(spectral_table(params, odd), spectral_table(params, even), grid)
-    pz = 0.5 * p0z * (Ao * Ao + Ae * Ae + Bo * Bo + Be * Be)
-    meta = {"bath": "infinite_T", "p0z": float(p0z)}
-    return Trajectory(grid, pz, params, "closed_form", meta)
+    meta = {"p0z": float(p0z)}
+    return Trajectory(grid, _pz(params, p0z, grid), params, Method.CLOSED_FORM, BathKind.INFINITE_T, meta)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .chain import (
     spectral_point,
     spectral_table,
 )
-from .dynamics import FermionConfig, Trajectory
+from .dynamics import BathKind, FermionConfig, Method, Trajectory
 from .errors import (
     CapExceededError,
     ConfigError,
@@ -51,11 +51,7 @@ HARD_ED_CAP = 14
 DEFAULT_FERMION_CAP = 10  # builder holds ~N dense 2^N x 2^N matrices
 
 _EVOLVE_CHUNK = 256  # time points per spectral-evolution block
-
-
-class BathKind(Enum):
-    INFINITE_T = "infinite_T"
-    ZERO_T = "zero_T"
+SPECTRUM_TOL = 1e-8  # largest dense-vs-reconstructed level gap spectrum_equivalence accepts
 
 
 class Observable(Enum):
@@ -334,14 +330,8 @@ def oracle_trajectory(
     ]
     run = _zero_t_trajectory if kind is BathKind.ZERO_T else _infinite_t_trajectory
     samples, energy, purity, parity = run(params, p0, grid, blocks)
-    meta = {
-        "bath": kind.value,
-        "p0": (p0.px, p0.py, p0.pz),
-        "energy": energy,
-        "purity": purity,
-        "parity": parity,
-    }
-    return Trajectory(grid, samples, params, "ed_oracle", meta)
+    meta = {"p0": (p0.px, p0.py, p0.pz), "energy": energy, "purity": purity, "parity": parity}
+    return Trajectory(grid, samples, params, Method.ED_ORACLE, kind, meta)
 
 
 # --- fermionic layer -----------------------------------------------------
@@ -479,11 +469,11 @@ def _sector_levels(params: ChainParams, parity: Parity):
     return out
 
 
-def spectrum_equivalence(params: ChainParams, cap: int = DEFAULT_ED_CAP, tol: float = 1e-8) -> SpectrumReport:
+def spectrum_equivalence(params: ChainParams, cap: int = DEFAULT_ED_CAP) -> SpectrumReport:
     """Compare dense eigenvalues with the fermionic reconstruction.
 
     Each parity block's sorted eigenvalues are paired elementwise with its
-    sector's sorted levels; a gap above tol raises SpectrumMismatchError
+    sector's sorted levels; a gap above SPECTRUM_TOL raises SpectrumMismatchError
     naming the worst configuration.  The report lists both spectra sorted.
     """
     dense, pairs = [], []
@@ -495,7 +485,7 @@ def spectrum_equivalence(params: ChainParams, cap: int = DEFAULT_ED_CAP, tol: fl
     gaps = np.abs(dense - recon)
     worst = int(np.argmax(gaps))
     mismatch = float(gaps[worst])
-    if mismatch > tol:
+    if mismatch > SPECTRUM_TOL:
         raise SpectrumMismatchError(
             f"level {worst} off by {mismatch:.3e} (config {pairs[worst][1]})",
             worst_config=pairs[worst][1],

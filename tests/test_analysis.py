@@ -11,6 +11,7 @@ from xychain import (
     ConfigError,
     GridTooCoarseError,
     InsufficientTailError,
+    Method,
     NoCrossingError,
     Polarization3,
     Trajectory,
@@ -80,8 +81,8 @@ class TestTimescales:
         grid = np.linspace(0.0, 10.0, 101)
         samples = np.tile(P0.as_array(), (grid.size, 1))
         traj = Trajectory(
-            grid=grid, samples=samples, params=P100, method="niemeijer",
-            meta={"bath": "zero_T"},
+            grid=grid, samples=samples, params=P100, method=Method.NIEMEIJER,
+            bath=BathKind.ZERO_T,
         )
         with pytest.raises(NoCrossingError):
             timescales(traj)
@@ -89,11 +90,11 @@ class TestTimescales:
     def test_meta_and_shape_requirements(self):
         grid = np.linspace(0.0, 10.0, 101)
         samples = np.tile(P0.as_array(), (grid.size, 1))
-        bad = Trajectory(
-            grid=grid, samples=samples, params=P100, method="niemeijer", meta={},
-        )
+        # the bath is a required typed field, so no trajectory lacks one
+        with pytest.raises(TypeError):
+            Trajectory(grid=grid, samples=samples, params=P100, method=Method.NIEMEIJER)
         with pytest.raises(ConfigError):
-            timescales(bad)
+            Trajectory(grid=grid, samples=samples, params=P100, method=Method.NIEMEIJER, bath="zero_T")
         scalar = pz_trajectory(P100, 1.0, grid)
         with pytest.raises(ConfigError):
             timescales(scalar)
@@ -118,8 +119,8 @@ class TestStages:
         grid = np.linspace(0.0, 400.0, 40001)
         samples = regular_stage_pz(1.0, 1.0, grid)
         traj = Trajectory(
-            grid=grid, samples=samples, params=P100, method="closed_form",
-            meta={"bath": "infinite_T"},
+            grid=grid, samples=samples, params=P100, method=Method.CLOSED_FORM,
+            bath=BathKind.INFINITE_T,
         )
         rep = detect_stages(traj, P100, 1.0)
         assert rep.t_regular_end is None

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xychain import (
+    BathKind,
     ChainParams,
     ConfigError,
     Polarization3,
@@ -74,7 +75,7 @@ def test_trajectory_matches_pointwise_and_flags():
     flags = traj.meta["validity"]
     assert flags["gamma_zero"] is True
     assert flags["grid_before_wraparound"] is False
-    assert traj.meta["bath"] == "zero_T"
+    assert traj.bath is BathKind.ZERO_T
     tricky = ChainParams(N=20, kappa=1.0, gamma=0.5, h=10.0)
     assert niemeijer_trajectory(P0, tricky, grid[:5]).meta["validity"]["gamma_zero"] is False
 

@@ -12,8 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import xychain.analysis
+import xychain.cli
 from xychain import __version__
-from xychain.cli import _pool_size, main
+from xychain.analysis import _pool_size
+from xychain.cli import main
 
 
 def _read_csv(path):
@@ -63,6 +66,43 @@ def test_bytes_across_blas_thread_counts(tmp_path):
     assert a.shape == b.shape == (1001, len(header))
     assert np.array_equal(a[:, 0], b[:, 0])
     assert np.abs(a - b).max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "compare --N 4 --points 0",
+        "compare --N 4 --tmax inf",
+        "compare --N 4 --tmax nan",
+        "compare --N 4 --tmax -1",
+        "compare --N 4 --seed -1",
+        "compare --N 12 --cap 10 --p0z 2",
+        "scan --N 8 --gamma 0 --h 2 --tmax inf --out {out}",
+        "scan --N 8 --gamma 0 --h 2 --tmax nan --out {out}",
+        "scan --N 8 --gamma 0 --h 2 --points 0 --out {out}",
+        "oracle --N 4 --method zero_T --tmax nan --out {out}",
+        "oracle --N 4 --method zero_T --tmax inf --out {out}",
+        "evolve --N 8 --tmax inf --out {out}",
+        "evolve --N 8 --tmax 1 --points 0 --out {out}",
+        "analyze --N 8 --tmax nan",
+    ],
+)
+def test_bad_input_refused_before_work(command, tmp_path, monkeypatch):
+    # exit 2 (invalid configuration) before any route starts, and no output file
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on invalid input")
+
+    for module, name in (
+        (xychain.cli, "pz_closed_form"),
+        (xychain.cli, "pz_trajectory"),
+        (xychain.cli, "niemeijer_trajectory"),
+        (xychain.cli, "oracle_trajectory"),
+        (xychain.analysis, "scan_metric"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    out = tmp_path / "out.csv"
+    assert main(command.format(out=out).split()) == 2
+    assert not out.exists()
 
 
 class TestSpectrum:

@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xychain import (
+    BathKind,
     CapExceededError,
     ChainParams,
     ConfigError,
     FermionConfig,
     MatElemKind,
+    Method,
     Parity,
     Trajectory,
-    ab_sums,
     build_sectors,
     matelem_diagonal,
     matelem_offdiag,
@@ -24,6 +25,7 @@ from xychain import (
     pz_trajectory,
     spectral_table,
 )
+from xychain.dynamics import _ab_arrays
 
 
 def _tables(params):
@@ -33,28 +35,18 @@ def _tables(params):
 
 def test_ab_sums_frozen_values():
     # mpmath dps=40 re-summation of the sector averages
-    t_odd, t_even = _tables(ChainParams(N=8, kappa=1.0, gamma=0.5, h=2.0))
-    s = ab_sums(t_odd, t_even, 3.7)
-    assert abs(s.A_odd - (-0.17072209073296224)) < 1e-12
-    assert abs(s.B_odd - (-0.34323769258978512)) < 1e-12
-    assert abs(s.A_even - (-0.16941187358111526)) < 1e-12
-    assert abs(s.B_even - (-0.34849037192146825)) < 1e-12
+    A_odd, A_even, B_odd, B_even = _ab_arrays(ChainParams(N=8, kappa=1.0, gamma=0.5, h=2.0), np.array([3.7]))
+    assert abs(A_odd[0] - (-0.17072209073296224)) < 1e-12
+    assert abs(B_odd[0] - (-0.34323769258978512)) < 1e-12
+    assert abs(A_even[0] - (-0.16941187358111526)) < 1e-12
+    assert abs(B_even[0] - (-0.34849037192146825)) < 1e-12
 
 
 def test_ab_sums_at_time_zero_exact():
-    t_odd, t_even = _tables(ChainParams(N=6, kappa=1.0, gamma=1.0, h=2.0))
-    s = ab_sums(t_odd, t_even, 0.0)
-    assert (s.A_odd, s.A_even, s.B_odd, s.B_even) == (1.0, 1.0, 0.0, 0.0)
-    assert s.sum_of_squares == 2.0
-
-
-def test_ab_sums_table_validation():
-    t_odd, t_even = _tables(ChainParams(N=6, h=2.0))
-    o2, e2 = _tables(ChainParams(N=6, h=3.0))
-    with pytest.raises(ConfigError):
-        ab_sums(t_even, t_odd, 1.0)  # swapped order
-    with pytest.raises(ConfigError):
-        ab_sums(t_odd, e2, 1.0)  # mixed parameters
+    params = ChainParams(N=6, kappa=1.0, gamma=1.0, h=2.0)
+    sums = _ab_arrays(params, np.array([0.0]))
+    assert tuple(float(v[0]) for v in sums) == (1.0, 1.0, 0.0, 0.0)
+    assert pz_closed_form(params, 1.0, 0.0) == 1.0
 
 
 def test_pz_frozen_values():
@@ -90,35 +82,45 @@ def test_time_reversal_and_bounds(params, t):
     assert pz_closed_form(params, 1.0, -t) == pz_closed_form(params, 1.0, t)
     val = pz_closed_form(params, 1.0, t)
     assert 0.0 <= val <= 1.0 + 1e-9
-    t_odd, t_even = _tables(params)
-    s = ab_sums(t_odd, t_even, t)
-    for a in (s.A_odd, s.A_even):
-        assert abs(a) <= 1.0 + 1e-12
-    for b in (s.B_odd, s.B_even):
-        assert abs(b) <= 1.0 + 1e-12
+    for v in _ab_arrays(params, np.array([t])):
+        assert abs(v[0]) <= 1.0 + 1e-12
 
 
 def test_trajectory_bit_identical_to_scalar():
     params = ChainParams(N=14, kappa=0.9, gamma=0.4, h=3.0)
     grid = np.array([0.0, 0.31, 1.7, 2.9, 14.242, 77.1])
     traj = pz_trajectory(params, 0.7, grid)
-    assert traj.method == "closed_form"
-    assert traj.meta["bath"] == "infinite_T"
+    assert traj.method is Method.CLOSED_FORM
+    assert traj.bath is BathKind.INFINITE_T
     for i, t in enumerate(grid):
         assert traj.samples[i] == pz_closed_form(params, 0.7, float(t))
+    # A seeded sweep: one point's value never depends on the grid around it.
+    rng = np.random.default_rng(20261020)
+    for N in (4, 6, 8, 20, 100):
+        for gamma, h in ((0.0, 2.0), (0.5, 2.0), (1.0, 2.0), (0.3, 5.0), (1.0, 10.0)):
+            params = ChainParams(N=N, kappa=1.0, gamma=gamma, h=h)
+            grid = np.sort(rng.uniform(0.0, 4.0 * N, 200))
+            samples = pz_trajectory(params, 0.8, grid).samples
+            scalar = np.array([pz_closed_form(params, 0.8, float(t)) for t in grid])
+            assert np.array_equal(samples, scalar), (N, gamma, h)
 
 
 def test_trajectory_validation():
     params = ChainParams(N=4, h=5.0)
+    cf, inf_t = Method.CLOSED_FORM, BathKind.INFINITE_T
     with pytest.raises(ConfigError):
-        Trajectory(np.array([0.0, 0.0]), np.array([1.0, 1.0]), params, "closed_form")
+        Trajectory(np.array([0.0, 0.0]), np.array([1.0, 1.0]), params, cf, inf_t)
     with pytest.raises(ConfigError):
-        Trajectory(np.array([0.0, 1.0]), np.array([1.0]), params, "closed_form")
+        Trajectory(np.array([0.0, 1.0]), np.array([1.0]), params, cf, inf_t)
     with pytest.raises(ConfigError):
-        Trajectory(np.array([0.0]), np.array([1.5]), params, "closed_form")
+        Trajectory(np.array([0.0]), np.array([1.5]), params, cf, inf_t)
     with pytest.raises(ConfigError):
-        Trajectory(np.array([0.0]), np.array([1.0]), params, "guesswork")
-    traj = Trajectory(np.array([0.0, 1.0]), np.array([[0.6, 0.0, 0.8]] * 2), params, "ed_oracle")
+        Trajectory(np.array([0.0]), np.array([1.0]), params, "closed_form", inf_t)  # a string tag
+    with pytest.raises(ConfigError):
+        Trajectory(np.array([0.0]), np.array([1.0]), params, cf, "infinite_T")
+    with pytest.raises(TypeError):
+        Trajectory(np.array([0.0]), np.array([1.0]), params, cf)  # the bath is required
+    traj = Trajectory(np.array([0.0, 1.0]), np.array([[0.6, 0.0, 0.8]] * 2), params, Method.ED_ORACLE, inf_t)
     assert traj.is_vector and traj.n_samples == 2
 
 

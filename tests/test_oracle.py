@@ -241,7 +241,7 @@ def test_oracle_trajectory_matches_literal_density_route():
     for kind in (BathKind.ZERO_T, BathKind.INFINITE_T):
         traj = oracle_trajectory(P6, kind, P0, grid)
         rho0 = initial_state(kind, P0, 6)
-        assert traj.meta["bath"] == kind.value
+        assert traj.bath is kind
         for i, t in enumerate(grid):
             ref = polarization(reduce_to_system(evolve(rho0, eig, float(t))))
             assert np.abs(traj.samples[i] - ref).max() < 1e-12
