@@ -164,6 +164,8 @@ def detect_stages(traj: Trajectory, params: ChainParams, p0z: float, *, delta_fr
     """
     if traj.params != params:
         raise ConfigError("trajectory was computed with different parameters")
+    if not (delta_frac > 0 and np.isfinite(delta_frac)):
+        raise ConfigError(f"delta_frac must be positive and finite, got {delta_frac}")
     t = traj.grid
     if t.size < 4:
         raise ConfigError("trajectory too short for stage detection")
@@ -315,7 +317,10 @@ def scan_grid_spec(N: int, kappa: float, hs, t_max: float | None, n_points: int 
 
 
 def scan_metric(params: ChainParams, p0z: float, grid: np.ndarray) -> ScanPoint:
-    """max - min and mean of closed-form pz over t >= N/kappa."""
-    late = grid >= params.N / params.kappa
-    vals = pz_trajectory(params, p0z, grid).samples[late]
+    """max - min and mean of closed-form pz over t >= N/kappa.
+
+    Only the grid times t >= N/kappa are computed; each time row of the
+    kernel is reduced on its own, so they equal the full grid's values.
+    """
+    vals = pz_trajectory(params, p0z, grid[grid >= params.N / params.kappa]).samples
     return ScanPoint(params.gamma, params.h, float(vals.max() - vals.min()), float(vals.mean()))

@@ -231,6 +231,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     params = _chain_params(args)
     grid = _grid(args)
+    if not (args.delta > 0 and np.isfinite(args.delta)):
+        raise ConfigError("--delta must be positive and finite")
     report: dict = {"run": _runconfig(args).to_dict()}
     if args.method == "closed_form":
         traj = pz_trajectory(params, args.p0z, grid)

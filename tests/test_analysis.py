@@ -25,6 +25,8 @@ from xychain import (
     regular_stage_pz,
     timescales,
 )
+from xychain import dynamics
+from xychain.analysis import ScanPoint, scan_metric
 
 P0 = Polarization3(0.6, 0.0, 0.8)
 P100 = ChainParams(N=100, kappa=1.0, gamma=0.0, h=5.0)
@@ -138,6 +140,9 @@ class TestStages:
         traj = pz_trajectory(P100, 1.0, grid)
         with pytest.raises(ConfigError):
             detect_stages(traj, P50, 1.0)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                detect_stages(traj, P100, 1.0, delta_frac=bad)
 
     def test_scale_covariance(self):
         # halving p0z is an exact binary rescaling: every comparison inside
@@ -204,6 +209,19 @@ class TestScan:
         assert amp[(1.0, 10.0)] > amp[(1.0, 2.0)]
         assert all(np.isfinite(r.mean_pz) for r in rows)
         assert all(isinstance(r.to_dict()["amplitude"], float) for r in rows)
+
+    def test_metric_rows_equal_full_grid(self, monkeypatch):
+        # scan_metric computes only t >= N/kappa.  Each kernel row is reduced
+        # on its own, so those rows equal the full grid's bit for bit, even
+        # when the two grids are cut into different time chunks.
+        monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 26 * 7)  # 7 rows per chunk at N = 50
+        params = ChainParams(N=50, kappa=1.0, gamma=0.5, h=2.0)
+        grid = np.linspace(0.0, 150.0, 3001)
+        late = grid >= 50.0
+        full = pz_trajectory(params, 0.8, grid).samples[late]
+        assert np.array_equal(pz_trajectory(params, 0.8, grid[late]).samples, full)
+        want = ScanPoint(0.5, 2.0, float(full.max() - full.min()), float(full.mean()))
+        assert scan_metric(params, 0.8, grid) == want
 
     def test_validation(self):
         with pytest.raises(ConfigError):

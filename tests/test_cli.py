@@ -39,13 +39,15 @@ def test_version_subprocess():
 
 
 def test_bytes_across_blas_thread_counts(tmp_path):
-    # The README commands: closed-form bytes do not depend on the BLAS thread
-    # count; dense-oracle bytes may, but agree within 1e-13 across counts.
+    # The README commands: closed-form bytes, detectors included, do not depend
+    # on the BLAS thread count; dense-oracle bytes may, but agree within 1e-13
+    # across counts.
     # One process runs at a time, with at most 2 threads.
     src = str(Path(__file__).resolve().parents[1] / "src")
     commands = (
         "oracle --N 10 --method zero_T --p0x 0.6 --p0z 0.8 --tmax 5 --out ed.csv",
         "evolve --N 100 --tmax 400 --points 40001 --out pz.csv",
+        "analyze --N 100 --tmax 2000 --points 80001 --out report.json",
     )
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -57,7 +59,7 @@ def test_bytes_across_blas_thread_counts(tmp_path):
                 cwd=tmp_path / threads, env=env, capture_output=True, check=True, timeout=300,
             )
     one, two = tmp_path / "1", tmp_path / "2"
-    for name in ("pz.csv", "pz.csv.meta.json", "ed.csv.meta.json"):
+    for name in ("pz.csv", "pz.csv.meta.json", "report.json", "ed.csv.meta.json"):
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
     header, rows_one = _read_csv(one / "ed.csv")
     _, rows_two = _read_csv(two / "ed.csv")
@@ -85,6 +87,8 @@ def test_bytes_across_blas_thread_counts(tmp_path):
         "evolve --N 8 --tmax inf --out {out}",
         "evolve --N 8 --tmax 1 --points 0 --out {out}",
         "analyze --N 8 --tmax nan",
+        "analyze --N 20 --tmax 100 --points 4001 --delta -1",
+        "analyze --N 20 --tmax 100 --points 4001 --delta nan",
     ],
 )
 def test_bad_input_refused_before_work(command, tmp_path, monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,25 @@ def test_ab_sums_at_time_zero_exact():
     sums = _ab_arrays(params, np.array([0.0]))
     assert tuple(float(v[0]) for v in sums) == (1.0, 1.0, 0.0, 0.0)
     assert pz_closed_form(params, 1.0, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("N", [2, 4, 6, 10, 100])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("h, strict", [(2.0, True), (1.0, False), (0.4, False)])
+def test_folded_kernel_matches_unfolded_fsum(N, gamma, h, strict):
+    # The kernel sums each sector over q >= 0 with weights; the reference is
+    # the plain sum over all N momenta, correctly rounded by math.fsum.  h = kappa
+    # puts E = 0 at q = 0 (the degenerate branch), h < kappa makes eps/E change sign.
+    params = ChainParams(N=N, kappa=1.0, gamma=gamma, h=h, strict=strict)
+    grid = np.concatenate([[0.0], np.random.default_rng(N).uniform(-3.0 * N, 3.0 * N, 40)])
+    got = np.array(_ab_arrays(params, grid))
+    tables = _tables(params)
+    assert tables[0].degenerate == (h == 1.0)
+    want = np.array(
+        [[math.fsum(math.cos(E * t) for E in tab.E) / N for t in grid] for tab in tables]
+        + [[math.fsum(c * math.sin(E * t) for E, c in zip(tab.E, tab.cos_theta)) / N for t in grid] for tab in tables]
+    )
+    assert np.abs(got - want).max() <= 1e-14
 
 
 def test_pz_frozen_values():
