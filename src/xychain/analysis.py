@@ -321,6 +321,10 @@ def scan_metric(params: ChainParams, p0z: float, grid: np.ndarray) -> ScanPoint:
 
     Only the grid times t >= N/kappa are computed; each time row of the
     kernel is reduced on its own, so they equal the full grid's values.
+    A grid with no such time is refused with ConfigError.
     """
-    vals = pz_trajectory(params, p0z, grid[grid >= params.N / params.kappa]).samples
+    late = grid[grid >= params.N / params.kappa]
+    if late.size == 0:
+        raise ConfigError(f"scan grid has no time t >= N/kappa = {params.N / params.kappa:g}")
+    vals = pz_trajectory(params, p0z, late).samples
     return ScanPoint(params.gamma, params.h, float(vals.max() - vals.min()), float(vals.mean()))

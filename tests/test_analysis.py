@@ -232,3 +232,8 @@ class TestScan:
             anisotropy_field_scan(50, 1.0, [0.0], [2.0], t_max=40.0)
         with pytest.raises(ConfigError):
             anisotropy_field_scan(50, 1.0, [0.0], [0.5])  # field below coupling
+
+    def test_metric_without_late_times_rejected(self):
+        # every time is below N/kappa = 50: refused before the kernel runs
+        with pytest.raises(ConfigError, match="no time t >= N/kappa"):
+            scan_metric(ChainParams(N=50, gamma=0.5, h=2.0), 1.0, np.linspace(0, 10, 5))

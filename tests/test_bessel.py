@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
+
 import mpmath as mp
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xychain.bessel import SERIES_CUTOFF, _asymptotic, _series, bessel_j0
+from xychain import bessel
+from xychain.bessel import SERIES_CUTOFF, _hankel, _trapezoid, bessel_j0
 
 mp.mp.dps = 30
 
@@ -49,25 +52,40 @@ def test_first_zero_location():
 
 
 def test_sweep_against_mpmath():
+    cut = SERIES_CUTOFF
+    seam = cut + np.array([-1e-9, -1e-12, 0.0, 1e-12, 1e-9])
     xs = np.concatenate(
         [
-            np.linspace(0.01, 13.99, 40),
-            np.linspace(14.0, 30.0, 17),
-            np.logspace(np.log10(31.0), 4.0, 40),
+            np.linspace(0.01, cut - 0.01, 60),
+            seam,
+            np.nextafter(cut, [-np.inf, np.inf]),
+            np.linspace(cut + 0.01, 40.0, 30),
+            np.logspace(np.log10(41.0), 4.0, 60),
+            np.random.default_rng(7).uniform(0.0, 1e4, 100),
+            [1e4],
         ]
     )
     vals = bessel_j0(xs)
     for x, v in zip(xs, vals):
         ref = float(mp.besselj(0, mp.mpf(float(x))))
-        assert abs(v - ref) < 1e-12, f"x={x}: {v} vs {ref}"
+        assert abs(v - ref) < 2e-15, f"x={x!r}: {v} vs {ref}"
 
 
 def test_seam_consistency():
-    # both branches must agree where they meet
-    for x in (13.5, 13.9, 14.0, 14.1, 14.5):
-        y = np.array([x], dtype=np.longdouble)
-        assert abs(float(_series(y)[0]) - float(_asymptotic(y)[0])) < 5e-13
-    assert SERIES_CUTOFF == 14.0
+    # the trapezoid and Hankel branches agree in float64 where they meet
+    y = np.linspace(SERIES_CUTOFF - 1.0, SERIES_CUTOFF + 1.0, 401)
+    assert np.abs(_trapezoid(y) - _hankel(y)).max() < 1e-15
+
+
+def test_no_longdouble():
+    # plain float64 throughout: the same digits on every platform
+    source = inspect.getsource(bessel)
+    for name in ("longdouble", "float128", "float96", "clongdouble"):
+        assert name not in source
+    tables = [v for v in vars(bessel).values() if isinstance(v, np.ndarray)]
+    assert tables and all(v.dtype == np.float64 for v in tables)
+    xs = np.array([0.0, 1.0, SERIES_CUTOFF, 30.0, 1e4])
+    assert _trapezoid(xs[:3]).dtype == _hankel(xs[3:]).dtype == bessel_j0(xs).dtype == np.float64
 
 
 def test_array_scalar_consistency_and_shape():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,48 @@ def test_regular_stage_agreement_large_ring():
     assert np.abs(traj.samples - ref).max() < 0.02
     # J0(2)^2 = 0.050127080984469569 (mpmath)
     assert abs(traj.samples[1] - 0.050127080984469569) < 0.01
+
+
+def _jacobi_anger_pz(N: int, kappa: float, p0z: float, t: float) -> float:
+    """Isotropic (gamma = 0) pz from the Jacobi-Anger expansion, every J_n from mpmath.
+
+    pz = (p0z/2)(F+^2 + F-^2) with
+    F+- = J0(kappa t) + 2 sum_{m>=1} (+-1)^m (-1)^{mN/2} J_{mN}(kappa t),
+    the odd and even sector averages of exp(-i kappa t cos q) (Watson,
+    Bessel Functions, section 2.22).  Terms are added until mN > kappa t and
+    |J_{mN}| < 1e-20.  Orders in the thousands at arguments in the thousands
+    need mpmath's precision and term limits raised to converge.
+    """
+    z = mp.mpf(kappa) * mp.mpf(t)
+    f_plus = f_minus = mp.besselj(0, z)
+    m = 1
+    while True:
+        j = 2 * (-1) ** (m * N // 2) * mp.besselj(m * N, z, maxprec=20000, maxterms=10**6)
+        f_plus += j
+        f_minus += (-1) ** m * j
+        if m * N > z and abs(j) < 1e-20:
+            return float(p0z / 2 * (f_plus**2 + f_minus**2))
+        m += 1
+
+
+@pytest.mark.parametrize("N", [4, 10, 20, 50])
+def test_closed_form_matches_jacobi_anger(N):
+    # at gamma = 0 each sector average is a lattice sum of Bessel functions
+    params = ChainParams(N=N, kappa=1.0, gamma=0.0, h=2.0)
+    with mp.workdps(30):
+        for t in np.linspace(0.0, 3.5 * N, 15):
+            want = _jacobi_anger_pz(N, 1.0, 0.8, t)
+            assert abs(pz_closed_form(params, 0.8, t) - want) < 1e-13, f"N={N}, t={t}"
+
+
+def test_closed_form_matches_jacobi_anger_at_n_1000():
+    # pins the closed form where neither ED nor the config sum reaches:
+    # the regular stage, the finite-size front near t = N, and later revivals
+    params = ChainParams(N=1000, kappa=1.0, gamma=0.0, h=2.0)
+    with mp.workdps(30):
+        for t in (1.0, 150.0, 600.0, 999.0, 1000.5, 1500.0, 2003.0, 2500.0, 3000.0, 3400.0):
+            want = _jacobi_anger_pz(1000, 1.0, 0.8, t)
+            assert abs(pz_closed_form(params, 0.8, t) - want) < 1e-13, f"t={t}"
 
 
 def test_fermion_config_validation():
