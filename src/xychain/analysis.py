@@ -9,14 +9,13 @@ between successive local maxima.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .approx import regular_stage_pz
 from .chain import ChainParams
-from .dynamics import BathKind, Trajectory, pz_trajectory
+from .dynamics import BathKind, Trajectory, pz_trajectory, serial_kernel, usable_cpus
 from .errors import (
     ConfigError,
     GridTooCoarseError,
@@ -264,9 +263,10 @@ def anisotropy_field_scan(
     largest field, see scan_grid_spec), measures max - min and mean of pz
     over t in [N/kappa, t_max], and returns rows sorted by (gamma, h).
     jobs > 1 spreads the points over a process pool of at most jobs
-    workers, capped at the number of points and of usable CPUs; each
-    point is computed the same way in any process, so the rows do not
-    depend on jobs.
+    workers, capped at the number of points and of usable CPUs, each
+    running the kernel on one thread; each point is computed the same way
+    in any process and on any number of threads, so the rows do not depend
+    on jobs.
     """
     gammas = [float(g) for g in gammas]
     hs = [float(h) for h in hs]
@@ -276,9 +276,7 @@ def anisotropy_field_scan(
     tasks = [(ChainParams(N=N, kappa=kappa, gamma=g, h=h), p0z, t_max, n_points) for g in gammas for h in hs]
     workers = _pool_size(jobs, len(tasks))
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _scan_pool(workers) as pool:
             rows = list(pool.map(_scan_task, tasks))
     else:
         rows = [_scan_task(task) for task in tasks]
@@ -292,12 +290,18 @@ def _scan_task(task) -> ScanPoint:
     return scan_metric(params, p0z, np.linspace(0.0, t_max, n_points))
 
 
+def _scan_pool(workers: int):
+    """A process pool whose workers run the kernel on one thread each."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers, initializer=serial_kernel)
+
+
 def _pool_size(jobs: int, n_tasks: int) -> int:
     """Scan workers: at least 1, at most the tasks and the usable CPUs."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(jobs, n_tasks, cpus)
+    return min(jobs, n_tasks, usable_cpus())
 
 
 def scan_grid_spec(N: int, kappa: float, hs, t_max: float | None, n_points: int | None):

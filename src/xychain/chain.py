@@ -135,10 +135,10 @@ def sector_for(params: ChainParams, parity: Parity) -> MomentumSector:
 class SpectralTable:
     """Per-momentum spectral data for one sector.
 
-    cos_theta is the signed ratio epsilon/E used by the closed-form sums;
-    it equals cos(theta) exactly when h > kappa and differs in sign from
-    it where epsilon < 0.  theta is the Bogolyubov angle
-    -arcsin(Gamma/E), always in [-pi/2, pi/2].
+    theta is the Bogolyubov angle atan2(-Gamma, epsilon), in (-pi, pi]:
+    past pi/2 in magnitude where epsilon < 0, which only h <= kappa
+    reaches.  cos_theta is the ratio epsilon/E used by the closed-form
+    sums; it equals cos(theta) up to rounding.
     """
 
     params: ChainParams
@@ -156,20 +156,14 @@ def spectral_table(params: ChainParams, sector: MomentumSector) -> SpectralTable
     eps = params.h - params.kappa * np.cos(ang)
     Gam = params.gamma * params.kappa * np.sin(ang)
     E = np.hypot(eps, Gam)
+    # E = 0 only off-regime (strict mode keeps E >= h - kappa > 0); such a
+    # mode gets theta = 0 and ratio 1.
     dead = E == 0.0
-    degenerate = bool(dead.any())
-    if degenerate:
-        # Only reachable off-regime (strict mode keeps E >= h - kappa > 0).
-        safe_E = np.where(dead, 1.0, E)
-        theta = -np.arcsin(Gam / safe_E)
-        cos_th = np.where(dead, 1.0, eps / safe_E)
-        theta = np.where(dead, 0.0, theta)
-    else:
-        theta = -np.arcsin(Gam / E)
-        cos_th = eps / E
+    theta = np.where(dead, 0.0, np.arctan2(-Gam, eps))
+    cos_th = np.where(dead, 1.0, eps / np.where(dead, 1.0, E))
     for arr in (eps, Gam, E, theta, cos_th):
         arr.setflags(write=False)
-    return SpectralTable(params, sector, eps, Gam, E, theta, cos_th, degenerate)
+    return SpectralTable(params, sector, eps, Gam, E, theta, cos_th, bool(dead.any()))
 
 
 def spectral_point(params: ChainParams, q) -> tuple[float, float, float, float]:
@@ -181,7 +175,7 @@ def spectral_point(params: ChainParams, q) -> tuple[float, float, float, float]:
     E = math.hypot(eps, Gam)
     if E == 0.0:
         raise DegenerateAngleError(f"E = 0 at q = {q2}/2: Bogolyubov angle undefined")
-    return eps, Gam, E, -math.asin(Gam / E)
+    return eps, Gam, E, math.atan2(-Gam, eps)
 
 
 def cos_theta(table: SpectralTable, q) -> float:

@@ -23,7 +23,7 @@ from . import __version__
 from .analysis import anisotropy_field_scan, detect_stages, quiet_cold, scan_grid_spec, timescales
 from .approx import Polarization3, niemeijer_trajectory
 from .chain import ChainParams, build_sectors, spectral_table
-from .dynamics import DEFAULT_CONFIG_SUM_CAP, BathKind, pz_closed_form, pz_config_sum, pz_trajectory
+from .dynamics import DEFAULT_CONFIG_SUM_CAP, BathKind, pz_config_sum, pz_trajectory
 from .errors import AnalysisError, CapExceededError, ConfigError
 from .oracle import DEFAULT_ED_CAP, oracle_trajectory
 
@@ -192,7 +192,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     values: dict[str, list[float]] = {}
     skipped: list[str] = []
 
-    values["closed_form"] = [pz_closed_form(params, args.p0z, t) for t in times]
+    values["closed_form"] = [float(v) for v in pz_trajectory(params, args.p0z, times).samples]
     config_cap = min(args.cap, DEFAULT_CONFIG_SUM_CAP)
     if args.N <= config_cap:
         values["config_sum"] = [pz_config_sum(params, args.p0z, t, cap=config_cap) for t in times]

@@ -16,6 +16,7 @@ longitudinal polarization p0z.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -24,12 +25,38 @@ import numpy as np
 from .chain import ChainParams, MomentumSector, Parity, SpectralTable, build_sectors, spectral_table
 from .errors import CapExceededError, ConfigError, XYChainError
 
-# The kernel walks the time axis in chunks of whole rows and holds two
-# float64 chunk buffers, the phases (reused in place for the sines) and the
-# cosines, of at most this many elements (32 MB) each.  Both are allocated
-# once per call and shared by the two sectors, and the four sums go into one
-# (4, nt) array, so no chunk-sized array is allocated per chunk.
+# The kernel walks the time axis in chunks of whole rows.  Each of its
+# threads holds two float64 chunk buffers, the phases (reused in place for
+# the sines) and the cosines; the threads share this many elements (32 MB)
+# per buffer kind, so a call's buffers stay within 64 MB at any thread count.
+# A thread allocates its pair once and uses it for both sectors, and the four
+# sums go into one (4, nt) array, so no chunk-sized array is allocated per
+# chunk.
 _CHUNK_ELEMENTS = 1 << 22
+# A thread is worth starting only for at least this many phase elements.
+_THREAD_ELEMENTS = 1 << 16
+# Threads one kernel call may use in this process; None means one per usable
+# CPU.  Scan pool workers set 1 (see serial_kernel), so the kernels of a
+# pool together run no more threads than there are CPUs.
+_thread_budget: int | None = None
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def serial_kernel() -> None:
+    """Keep every later kernel call in this process on one thread (a pool initializer)."""
+    global _thread_budget
+    _thread_budget = 1
+
+
+def kernel_threads() -> int:
+    """The most threads one kernel call may use in this process."""
+    return _thread_budget or usable_cpus()
 
 
 class BathKind(Enum):
@@ -109,6 +136,13 @@ def _ab_arrays(params: ChainParams, grid: np.ndarray):
     elementwise product and numpy's pairwise sum (never BLAS), so a value
     does not depend on the other grid points, on the chunking along time or
     on the BLAS thread count.
+
+    A call splits its time rows into one contiguous block per thread, at
+    most kernel_threads() threads and one per _THREAD_ELEMENTS phase
+    elements.  numpy releases the GIL in every step, so the blocks run in
+    parallel; each row is reduced the same way in any block, so the sums do
+    not depend on the thread count either.  Every thread has ended when the
+    call returns.
     """
     N = params.N
     nt = grid.size
@@ -120,22 +154,34 @@ def _ab_arrays(params: ChainParams, grid: np.ndarray):
         weight = np.where((q2[half] == 0) | (q2[half] == N), 1.0, 2.0)
         folded.append((tab.E[half], weight, weight * tab.cos_theta[half]))
     width = N // 2 + 1  # the odd sector's q >= 0; the even sector has N/2
-    step = max(1, _CHUNK_ELEMENTS // width)
-    phase_buf = np.empty(min(nt, step) * width)
-    cos_buf = np.empty_like(phase_buf)
+    threads = max(1, min(kernel_threads(), nt * width // _THREAD_ELEMENTS, nt))
+    step = max(1, _CHUNK_ELEMENTS // threads // width)
     sums = np.empty((4, nt))  # rows A_odd, A_even, B_odd, B_even
-    for k, (E, weight, weighted_cos_theta) in enumerate(folded):
-        for lo in range(0, nt, step):
-            hi = min(lo + step, nt)
-            phases = phase_buf[: (hi - lo) * E.size].reshape(hi - lo, E.size)
-            cosines = cos_buf[: phases.size].reshape(phases.shape)
-            np.multiply.outer(grid[lo:hi], E, out=phases)
-            np.cos(phases, out=cosines)
-            cosines *= weight
-            sums[k, lo:hi] = cosines.sum(axis=-1)
-            np.sin(phases, out=phases)
-            phases *= weighted_cos_theta
-            sums[k + 2, lo:hi] = phases.sum(axis=-1)
+
+    def rows(lo: int, hi: int) -> None:
+        phase_buf = np.empty(min(hi - lo, step) * width)
+        cos_buf = np.empty_like(phase_buf)
+        for k, (E, weight, weighted_cos_theta) in enumerate(folded):
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                phases = phase_buf[: (b - a) * E.size].reshape(b - a, E.size)
+                cosines = cos_buf[: phases.size].reshape(phases.shape)
+                np.multiply.outer(grid[a:b], E, out=phases)
+                np.cos(phases, out=cosines)
+                cosines *= weight
+                sums[k, a:b] = cosines.sum(axis=-1)
+                np.sin(phases, out=phases)
+                phases *= weighted_cos_theta
+                sums[k + 2, a:b] = phases.sum(axis=-1)
+
+    if threads == 1:
+        rows(0, nt)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        bounds = [nt * i // threads for i in range(threads + 1)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(rows, bounds[:-1], bounds[1:]))  # reads every result, so errors propagate
     sums /= N
     return tuple(sums)
 

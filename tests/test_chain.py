@@ -145,14 +145,17 @@ def test_determinism():
 
 
 def test_spectral_point_matches_table():
-    params = ChainParams(N=8, kappa=1.3, gamma=0.3, h=2.0)
-    for table in _tables(params):
-        for i, q2 in enumerate(table.sector.q2):
-            eps, gam, energy, theta = spectral_point(params, q2 / 2)
-            assert abs(eps - table.epsilon[i]) < 1e-14
-            assert abs(gam - table.Gamma[i]) < 1e-14
-            assert abs(energy - table.E[i]) < 1e-14
-            assert abs(theta - table.theta[i]) < 1e-14
+    off_regime = ChainParams(N=8, kappa=1.3, gamma=0.3, h=0.5, strict=False)
+    for params in (ChainParams(N=8, kappa=1.3, gamma=0.3, h=2.0), off_regime):
+        for table in _tables(params):
+            # off-regime too, theta is the angle whose cosine is epsilon/E
+            assert np.all(np.abs(np.cos(table.theta) - table.cos_theta) <= 1e-15)
+            for i, q2 in enumerate(table.sector.q2):
+                eps, gam, energy, theta = spectral_point(params, q2 / 2)
+                assert abs(eps - table.epsilon[i]) < 1e-14
+                assert abs(gam - table.Gamma[i]) < 1e-14
+                assert abs(energy - table.E[i]) < 1e-14
+                assert abs(theta - table.theta[i]) < 1e-14
 
 
 params_strategy = st.builds(

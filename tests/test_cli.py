@@ -14,6 +14,7 @@ import pytest
 
 import xychain.analysis
 import xychain.cli
+import xychain.dynamics
 from xychain import __version__
 from xychain.analysis import _pool_size
 from xychain.cli import main
@@ -97,7 +98,6 @@ def test_bad_input_refused_before_work(command, tmp_path, monkeypatch):
         raise AssertionError("work started on invalid input")
 
     for module, name in (
-        (xychain.cli, "pz_closed_form"),
         (xychain.cli, "pz_trajectory"),
         (xychain.cli, "niemeijer_trajectory"),
         (xychain.cli, "oracle_trajectory"),
@@ -264,6 +264,19 @@ class TestScan:
         amp = {k: float(r[2]) for k, r in zip(keys, rows)}
         assert abs(amp[(0.0, 2.0)] - amp[(0.0, 10.0)]) < 1e-12
         assert amp[(1.0, 10.0)] > amp[(1.0, 2.0)]
+
+    def test_jobs_bytes_with_threaded_kernel(self, tmp_path, monkeypatch):
+        # --jobs 1 splits each kernel call over 3 threads here; --jobs 2
+        # workers run the kernel on one thread.  The bytes are the same.
+        monkeypatch.setattr(xychain.dynamics, "_thread_budget", 3)
+        monkeypatch.setattr(xychain.dynamics, "_THREAD_ELEMENTS", 1 << 10)
+        base = ["scan", "--N", "60", "--gamma", "0,0.5", "--h", "2,5", "--tmax", "200", "--points", "4001"]
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert main(base + ["--jobs", jobs, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_bad_lists_exit_code(self, tmp_path):
         out = str(tmp_path / "scan.csv")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -28,7 +30,11 @@ from xychain import (
     pz_trajectory,
     spectral_table,
 )
+from xychain import dynamics
+from xychain.analysis import _scan_pool
+from xychain.approx import Polarization3
 from xychain.dynamics import _ab_arrays
+from xychain.oracle import oracle_trajectory
 
 
 def _tables(params):
@@ -125,6 +131,51 @@ def test_trajectory_bit_identical_to_scalar():
             samples = pz_trajectory(params, 0.8, grid).samples
             scalar = np.array([pz_closed_form(params, 0.8, float(t)) for t in grid])
             assert np.array_equal(samples, scalar), (N, gamma, h)
+
+
+@pytest.mark.parametrize("N", [2, 4, 100])
+@pytest.mark.parametrize("nt", [1, 7, 80001])
+@pytest.mark.parametrize("chunk", [dynamics._CHUNK_ELEMENTS, 1 << 14])
+def test_kernel_bit_identical_across_thread_budgets(N, nt, chunk, monkeypatch):
+    # Every call here is split as far as the budget and the rows allow, and
+    # each thread may walk its block in several chunks; 7 and 80001 rows do
+    # not divide evenly between 2 threads, nor 7 between 3.
+    params = ChainParams(N=N, kappa=1.0, gamma=0.7, h=1.6)
+    grid = np.linspace(0.0, 3.0 * N, nt)
+    reference = _ab_arrays(params, grid)
+    monkeypatch.setattr(dynamics, "_THREAD_ELEMENTS", 1)
+    monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", chunk)
+    started = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    for budget in (1, 2, 3):
+        monkeypatch.setattr(dynamics, "_thread_budget", budget)
+        sums = _ab_arrays(params, grid)
+        assert all(np.array_equal(a, b) for a, b in zip(sums, reference)), budget
+    assert started == [n for n in (2, 3) if n <= nt]
+
+
+def test_threaded_kernel_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(dynamics, "_thread_budget", 2)
+    before = threading.active_count()
+    _ab_arrays(ChainParams(N=100, gamma=0.5, h=2.0), np.linspace(0.0, 300.0, 20001))
+    assert threading.active_count() == before
+
+
+def test_kernel_budget_follows_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(dynamics, "_thread_budget", None)
+    assert dynamics.kernel_threads() == dynamics.usable_cpus() >= 1
+
+
+def test_scan_pool_workers_run_the_kernel_on_one_thread():
+    with _scan_pool(2) as pool:
+        budgets = [pool.submit(dynamics.kernel_threads) for _ in range(4)]
+        assert [b.result(timeout=60) for b in budgets] == [1, 1, 1, 1]
 
 
 def test_trajectory_validation():
@@ -248,6 +299,21 @@ def test_config_sum_matches_closed_form():
                     a = pz_closed_form(params, 1.0, t)
                     b = pz_config_sum(params, 1.0, t)
                     assert abs(a - b) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("h", [0.0, 0.5, 1.0])
+def test_routes_agree_off_regime(gamma, h):
+    # h <= kappa makes epsilon negative for small |q|, where the Bogolyubov
+    # angle leaves [-pi/2, pi/2]; h = 0 at gamma = 0 has a mode with E = 0.
+    params = ChainParams(N=6, kappa=1.0, gamma=gamma, h=h, strict=False)
+    times = np.array([0.0, 0.7, 2.3, 5.1, 11.9])
+    oracle = oracle_trajectory(params, BathKind.INFINITE_T, Polarization3(0.0, 0.0, 0.8), times).samples[:, 2]
+    closed = pz_trajectory(params, 0.8, times).samples
+    config = np.array([pz_config_sum(params, 0.8, float(t)) for t in times])
+    assert np.abs(config - closed).max() < 1e-12
+    assert np.abs(config - oracle).max() < 1e-12
+    assert np.abs(closed - oracle).max() < 1e-12
 
 
 def test_config_sum_cap():
