@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from . import __version__
 from .analysis import anisotropy_field_scan, detect_stages, quiet_cold, scan_grid_spec, timescales
 from .approx import Polarization3, niemeijer_trajectory
 from .chain import ChainParams, build_sectors, spectral_table
-from .dynamics import DEFAULT_CONFIG_SUM_CAP, BathKind, pz_config_sum, pz_trajectory
+from .dynamics import CONFIG_SUM_CAP, BathKind, pz_config_sum, pz_trajectory
 from .errors import AnalysisError, CapExceededError, ConfigError
 from .oracle import DEFAULT_ED_CAP, oracle_trajectory
 
@@ -62,26 +61,15 @@ def _emit_json(obj, out: str | None) -> None:
         print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-@dataclass(frozen=True)
-class RunConfig:
+def _runconfig(args: argparse.Namespace) -> dict:
     """Everything needed to reproduce one CLI invocation."""
-
-    command: str
-    version: str
-    options: dict
-
-    def to_dict(self) -> dict:
-        return {"command": self.command, "version": self.version, "options": self.options}
-
-
-def _runconfig(args: argparse.Namespace) -> RunConfig:
     skip = {"func", "command"}
     options = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-    return RunConfig(args.command, __version__, options)
+    return {"command": args.command, "version": __version__, "options": options}
 
 
 def _sidecar(path: str, args: argparse.Namespace, extra: dict | None = None) -> None:
-    payload = {"run": _runconfig(args).to_dict()}
+    payload = {"run": _runconfig(args)}
     if extra:
         payload.update(extra)
     _write_json(path + ".meta.json", payload)
@@ -163,8 +151,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     else:
         raise ConfigError(f"evolve does not support method {args.method!r}")
     meta = {**traj.meta, "bath": traj.bath.value}
-    run = _runconfig(args).to_dict()
-    _emit_table(args, header, rows, {"meta": meta, "run": run}, {"meta": meta, "method": traj.method.value})
+    json_extra = {"meta": meta, "run": _runconfig(args)}
+    _emit_table(args, header, rows, json_extra, {"meta": meta, "method": traj.method.value})
     return EXIT_OK
 
 
@@ -176,7 +164,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     header = ["t", "px", "py", "pz", "energy", "purity", "parity"]
     rows = zip(traj.grid, *traj.samples.T, *(traj.meta[k] for k in header[4:]))
     sidecar = {"bath": kind.value, "p0": [args.p0x, args.p0y, args.p0z]}
-    _emit_table(args, header, rows, {"run": _runconfig(args).to_dict()}, sidecar)
+    _emit_table(args, header, rows, {"run": _runconfig(args)}, sidecar)
     return EXIT_OK
 
 
@@ -193,9 +181,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     skipped: list[str] = []
 
     values["closed_form"] = [float(v) for v in pz_trajectory(params, args.p0z, times).samples]
-    config_cap = min(args.cap, DEFAULT_CONFIG_SUM_CAP)
-    if args.N <= config_cap:
-        values["config_sum"] = [pz_config_sum(params, args.p0z, t, cap=config_cap) for t in times]
+    if args.N <= CONFIG_SUM_CAP:
+        values["config_sum"] = [pz_config_sum(params, args.p0z, t) for t in times]
     else:
         skipped.append("config_sum")
     if args.N <= args.cap:
@@ -222,7 +209,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "pairs": pairs,
         "skipped": skipped,
         "tolerance": COMPARE_TOL,
-        "run": _runconfig(args).to_dict(),
+        "run": _runconfig(args),
     }
     _emit_json(report, args.out)
     return EXIT_OK if all_pass else EXIT_MISMATCH
@@ -233,7 +220,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     grid = _grid(args)
     if not (args.delta > 0 and np.isfinite(args.delta)):
         raise ConfigError("--delta must be positive and finite")
-    report: dict = {"run": _runconfig(args).to_dict()}
+    report: dict = {"run": _runconfig(args)}
     if args.method == "closed_form":
         traj = pz_trajectory(params, args.p0z, grid)
         report["timescales"] = None  # needs transverse components
@@ -264,8 +251,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     tmax, n_points = scan_grid_spec(args.N, args.kappa, hs, args.tmax, args.points)
     rows = [(p.gamma, p.h, p.amplitude, p.mean_pz) for p in points]
     header = ["gamma", "h", "amplitude", "mean_pz"]
-    run = _runconfig(args).to_dict()
-    _emit_table(args, header, rows, {"run": run}, {"t_max": tmax, "n_points": n_points})
+    _emit_table(args, header, rows, {"run": _runconfig(args)}, {"t_max": tmax, "n_points": n_points})
     return EXIT_OK
 
 
@@ -331,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float, default=None, help="default 4N/kappa")
     p.add_argument("--points", type=int, default=20)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--cap", type=int, default=DEFAULT_ED_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_ED_CAP, help="largest N for the dense oracle")
     _add_out(p, required=False)
     p.set_defaults(func=cmd_compare)
 

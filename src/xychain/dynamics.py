@@ -5,13 +5,16 @@ Two independent routes to the same number:
 * ``pz_closed_form`` / ``pz_trajectory``: the O(N) free-fermion closed
   form, half of p0z times the sum of squared sector averages of
   cos(E_q t) and (eps_q/E_q) sin(E_q t).
-* ``pz_config_sum``: brute-force double sum over fermionic occupation
-  configurations using the analytic matrix elements of the probe sz
-  between many-body eigenstates.  Exponential in N, capped, and kept as
-  an independently coded oracle for the closed form.
+* ``pz_config_sum``: the double sum over fermionic occupation
+  configurations of the squared probe-sz matrix elements between
+  many-body eigenstates, counted down to one O(N^2) sum over pairs of
+  modes per time point.  Built from the Bogolyubov angles and the mode
+  energies, never from eps_q/E_q, it is an independent check on the
+  closed form up to N = CONFIG_SUM_CAP.
 
-Both act on an infinite-temperature ring; the probe starts with
-longitudinal polarization p0z.
+Both act on an infinite-temperature ring, with the probe starting at
+longitudinal polarization p0z, and both need N >= 4: each rests on a mode
+that any two fixed modes leave free.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .chain import ChainParams, MomentumSector, Parity, SpectralTable, build_sectors, spectral_table
-from .errors import CapExceededError, ConfigError, XYChainError
+from .errors import CapExceededError, ConfigError
 
 # The kernel walks the time axis in chunks of whole rows.  Each of its
 # threads holds two float64 chunk buffers, the phases (reused in place for
@@ -186,8 +189,15 @@ def _ab_arrays(params: ChainParams, grid: np.ndarray):
     return tuple(sums)
 
 
+def _check_free_mode(params: ChainParams) -> None:
+    """Refuse N = 2, where no mode is left free by two fixed ones."""
+    if params.N < 4:
+        raise ConfigError(f"pz needs N >= 4, got N={params.N}: the sector counts leave no free mode")
+
+
 def _pz(params: ChainParams, p0z: float, grid: np.ndarray) -> np.ndarray:
     """Half of p0z times the sum of the four squared sector averages."""
+    _check_free_mode(params)
     Ao, Ae, Bo, Be = _ab_arrays(params, grid)
     return 0.5 * p0z * (Ao * Ao + Ae * Ae + Bo * Bo + Be * Be)
 
@@ -284,50 +294,40 @@ def matelem_offdiag(kind: MatElemKind, q, qtilde, table: SpectralTable) -> float
     raise ConfigError(f"unknown matrix-element kind {kind!r}")
 
 
-DEFAULT_CONFIG_SUM_CAP = 10
+# Largest N pz_config_sum accepts.  At N = 2000 its N x N pair arrays take
+# about 0.45 s per time point and add about 120 MB to the peak RSS.
+CONFIG_SUM_CAP = 2000
 
 
-def pz_config_sum(params: ChainParams, p0z: float, t: float, cap: int = DEFAULT_CONFIG_SUM_CAP) -> float:
-    """Probe pz by explicit sum over all pairs of occupation configurations.
+def pz_config_sum(params: ChainParams, p0z: float, t: float) -> float:
+    """Probe pz from the sum over all pairs of occupation configurations, counted.
 
-    2^-N p0z sum_{Q,Qt} |<Qt|sz|Q>|^2 exp(-i(E_Q - E_Qt) t), with the
-    selection rules baked in: within a parity sector only the diagonal,
-    single swaps, and pair add/remove contribute.  Cost ~ 2^N * N^2.
+    The sum is 2^-N p0z sum_{Q,Qt} |<Qt|sz|Q>|^2 exp(-i(E_Q - E_Qt) t).  Within
+    a parity sector only the diagonal, single swaps and pair add/remove
+    contribute, and a configuration enters only through which modes it
+    occupies.  With N >= 4 a pattern on k < N fixed modes is met by
+    2^(N-1-k) configurations of a sector, and sum_Q s_a s_b = 0 for a != b
+    (s = +1 occupied, -1 empty), so the 2^N configurations collapse to one
+    double sum over modes per sector:
+
+        pz = p0z/8 sum_sectors sum_{a,b} [S_ab cos((E_a - E_b) t) + P_ab cos((E_a + E_b) t)]
+
+    S_ab = ((2/N) cos((theta_a + theta_b)/2))^2 and P_ab = ((2/N) sin((theta_a - theta_b)/2))^2
+    are the squared swap and pair matrix elements; the a = b terms carry the
+    diagonal elements, sum_Q <Q|sz|Q>^2 / 2^N = sum_a cos^2(theta_a) / (2 N^2)
+    = sum_a S_aa / 8.  Elementwise products and numpy sums only, never BLAS,
+    so a value does not depend on the BLAS thread count.  Cost ~ N^2.
     """
     N = params.N
-    if N > cap:
-        raise CapExceededError(f"config sum at N={N} exceeds cap {cap} (2^{N} configurations)")
-    total = 0.0 + 0.0j
+    if N > CONFIG_SUM_CAP:
+        raise CapExceededError(f"config sum at N={N} exceeds cap {CONFIG_SUM_CAP} (N x N pair arrays)")
+    _check_free_mode(params)
+    total = 0.0
     for sector in build_sectors(params):
         tab = spectral_table(params, sector)
-        cos_th = np.cos(tab.theta)
-        cos_all = cos_th.sum()
-        half_sum = 0.5 * (tab.theta[:, None] + tab.theta[None, :])
-        half_diff = 0.5 * (tab.theta[:, None] - tab.theta[None, :])
-        swap_sq = ((2.0 / N) * np.cos(half_sum)) ** 2
-        pair_sq = ((2.0 / N) * np.sin(half_diff)) ** 2
-        u = np.exp(-1j * tab.E * float(t))
-        swap_phase = np.outer(u, u.conj())  # exp(-i(E_a - E_b) t)
-        pair_phase = np.outer(u, u)         # exp(-i(E_a + E_b) t)
-        keep_odd = sector.parity is Parity.ODD
-        idx = np.arange(N)
-        for mask in range(1 << N):
-            bits = (mask >> idx) & 1
-            if bool(bits.sum() % 2) != keep_odd:
-                continue
-            occ = idx[bits == 1]
-            emp = idx[bits == 0]
-            diag = (2.0 * cos_th[occ].sum() - cos_all) / N
-            total += diag * diag
-            if occ.size and emp.size:
-                block = np.ix_(occ, emp)
-                total += (swap_sq[block] * swap_phase[block]).sum()
-            if occ.size > 1:
-                block = np.ix_(occ, occ)
-                total += 0.5 * (pair_sq[block] * pair_phase[block]).sum()
-            if emp.size > 1:
-                block = np.ix_(emp, emp)
-                total += 0.5 * (pair_sq[block] * pair_phase[block].conj()).sum()
-    if abs(total.imag) > 1e-10:
-        raise XYChainError(f"configuration sum left an imaginary residue {total.imag:.3e}")
-    return float(p0z * total.real / 2.0**N)
+        theta, E = tab.theta, tab.E
+        swap_sq = ((2.0 / N) * np.cos(0.5 * np.add.outer(theta, theta))) ** 2
+        pair_sq = ((2.0 / N) * np.sin(0.5 * np.subtract.outer(theta, theta))) ** 2
+        total += (swap_sq * np.cos(np.subtract.outer(E, E) * float(t))).sum()
+        total += (pair_sq * np.cos(np.add.outer(E, E) * float(t))).sum()
+    return float(p0z * total / 8.0)

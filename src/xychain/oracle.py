@@ -385,6 +385,12 @@ def build_fermion_operators(params: ChainParams, cap: int = DEFAULT_FERMION_CAP)
     return FermionOperators(params, a_ops)
 
 
+def _check_field_above_coupling(params: ChainParams, what: str) -> None:
+    """Refuse h <= kappa: the levels below assume every epsilon_q > 0."""
+    if not params.field_above_coupling:
+        raise ConfigError(f"{what} assumes h > kappa (every epsilon_q > 0); h={params.h}, kappa={params.kappa}")
+
+
 class EigenstateBuilder:
     """Assembles many-body eigenstates of one parity sector.
 
@@ -392,9 +398,11 @@ class EigenstateBuilder:
     the product of all Bogolyubov annihilators (ascending momentum);
     eigenstates apply creation operators in ascending momentum order on
     top of it.  Eigenvalue: sum of occupied E_q minus half the sector sum.
+    Only for h > kappa.
     """
 
     def __init__(self, params: ChainParams, parity: Parity, cap: int = DEFAULT_FERMION_CAP):
+        _check_field_above_coupling(params, "eigenstate builder")
         self.params = params
         self.sector = sector_for(params, parity)
         table = spectral_table(params, self.sector)
@@ -475,7 +483,9 @@ def spectrum_equivalence(params: ChainParams, cap: int = DEFAULT_ED_CAP) -> Spec
     Each parity block's sorted eigenvalues are paired elementwise with its
     sector's sorted levels; a gap above SPECTRUM_TOL raises SpectrumMismatchError
     naming the worst configuration.  The report lists both spectra sorted.
+    Only for h > kappa.
     """
+    _check_field_above_coupling(params, "spectrum_equivalence")
     dense, pairs = [], []
     for parity in (Parity.ODD, Parity.EVEN):
         dense.append(np.linalg.eigvalsh(build_hamiltonian(params, cap, parity)))

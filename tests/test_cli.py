@@ -40,15 +40,16 @@ def test_version_subprocess():
 
 
 def test_bytes_across_blas_thread_counts(tmp_path):
-    # The README commands: closed-form bytes, detectors included, do not depend
-    # on the BLAS thread count; dense-oracle bytes may, but agree within 1e-13
-    # across counts.
+    # The README commands: closed-form and config-sum bytes, detectors
+    # included, do not depend on the BLAS thread count; dense-oracle bytes
+    # may, but agree within 1e-13 across counts.
     # One process runs at a time, with at most 2 threads.
     src = str(Path(__file__).resolve().parents[1] / "src")
     commands = (
         "oracle --N 10 --method zero_T --p0x 0.6 --p0z 0.8 --tmax 5 --out ed.csv",
         "evolve --N 100 --tmax 400 --points 40001 --out pz.csv",
         "analyze --N 100 --tmax 2000 --points 80001 --out report.json",
+        "compare --N 100 --gamma 0.5 --h 2 --out cmp.json",
     )
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -60,7 +61,7 @@ def test_bytes_across_blas_thread_counts(tmp_path):
                 cwd=tmp_path / threads, env=env, capture_output=True, check=True, timeout=300,
             )
     one, two = tmp_path / "1", tmp_path / "2"
-    for name in ("pz.csv", "pz.csv.meta.json", "report.json", "ed.csv.meta.json"):
+    for name in ("pz.csv", "pz.csv.meta.json", "report.json", "cmp.json", "ed.csv.meta.json"):
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
     header, rows_one = _read_csv(one / "ed.csv")
     _, rows_two = _read_csv(two / "ed.csv")
@@ -99,6 +100,7 @@ def test_bad_input_refused_before_work(command, tmp_path, monkeypatch):
 
     for module, name in (
         (xychain.cli, "pz_trajectory"),
+        (xychain.cli, "pz_config_sum"),
         (xychain.cli, "niemeijer_trajectory"),
         (xychain.cli, "oracle_trajectory"),
         (xychain.analysis, "scan_metric"),
@@ -214,11 +216,13 @@ class TestCompare:
         assert len(report["times"]) == 20
 
     def test_cap_skips_expensive_routes(self, capsys):
+        # --cap bounds the dense oracle alone; the config sum runs up to CONFIG_SUM_CAP
         assert main(["compare", "--N", "6", "--cap", "4"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["skipped"] == ["config_sum", "ed_oracle"]
-        assert report["pairs"] == {}
-        assert "closed_form" in report["values"]
+        assert report["skipped"] == ["ed_oracle"]
+        assert list(report["pairs"]) == ["closed_form_vs_config_sum"]
+        assert report["pairs"]["closed_form_vs_config_sum"]["pass"]
+        assert sorted(report["values"]) == ["closed_form", "config_sum"]
 
 
 class TestAnalyze:

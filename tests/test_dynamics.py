@@ -22,6 +22,7 @@ from xychain import (
     Method,
     Parity,
     Trajectory,
+    XYChainError,
     build_sectors,
     matelem_diagonal,
     matelem_offdiag,
@@ -243,7 +244,7 @@ def test_closed_form_matches_jacobi_anger(N):
 
 
 def test_closed_form_matches_jacobi_anger_at_n_1000():
-    # pins the closed form where neither ED nor the config sum reaches:
+    # pins the closed form against mpmath where ED does not reach:
     # the regular stage, the finite-size front near t = N, and later revivals
     params = ChainParams(N=1000, kappa=1.0, gamma=0.0, h=2.0)
     with mp.workdps(30):
@@ -288,6 +289,74 @@ def test_matelem_membership_checked():
         matelem_offdiag(MatElemKind.SWAP, 0, 9, t_odd)
 
 
+def _config_loop(params, p0z, t):
+    """Probe pz by explicit sum over all pairs of occupation configurations.
+
+    2^-N p0z sum_{Q,Qt} |<Qt|sz|Q>|^2 exp(-i(E_Q - E_Qt) t), with the
+    selection rules baked in: within a parity sector only the diagonal,
+    single swaps, and pair add/remove contribute.  Cost ~ 2^N * N^2.
+    The strict reference for the counted pz_config_sum at small N.
+    """
+    N = params.N
+    total = 0.0 + 0.0j
+    for sector in build_sectors(params):
+        tab = spectral_table(params, sector)
+        cos_th = np.cos(tab.theta)
+        cos_all = cos_th.sum()
+        half_sum = 0.5 * (tab.theta[:, None] + tab.theta[None, :])
+        half_diff = 0.5 * (tab.theta[:, None] - tab.theta[None, :])
+        swap_sq = ((2.0 / N) * np.cos(half_sum)) ** 2
+        pair_sq = ((2.0 / N) * np.sin(half_diff)) ** 2
+        u = np.exp(-1j * tab.E * float(t))
+        swap_phase = np.outer(u, u.conj())  # exp(-i(E_a - E_b) t)
+        pair_phase = np.outer(u, u)         # exp(-i(E_a + E_b) t)
+        keep_odd = sector.parity is Parity.ODD
+        idx = np.arange(N)
+        for mask in range(1 << N):
+            bits = (mask >> idx) & 1
+            if bool(bits.sum() % 2) != keep_odd:
+                continue
+            occ = idx[bits == 1]
+            emp = idx[bits == 0]
+            diag = (2.0 * cos_th[occ].sum() - cos_all) / N
+            total += diag * diag
+            if occ.size and emp.size:
+                block = np.ix_(occ, emp)
+                total += (swap_sq[block] * swap_phase[block]).sum()
+            if occ.size > 1:
+                block = np.ix_(occ, occ)
+                total += 0.5 * (pair_sq[block] * pair_phase[block]).sum()
+            if emp.size > 1:
+                block = np.ix_(emp, emp)
+                total += 0.5 * (pair_sq[block] * pair_phase[block].conj()).sum()
+    if abs(total.imag) > 1e-10:
+        raise XYChainError(f"configuration sum left an imaginary residue {total.imag:.3e}")
+    return float(p0z * total.real / 2.0**N)
+
+
+@pytest.mark.parametrize("N", [4, 6, 8, 10])
+def test_counted_sum_matches_configuration_loop(N):
+    # The counting replaces the 2^N loop exactly; off-regime (h <= kappa)
+    # epsilon changes sign and h = kappa, gamma = 0 has a mode with E = 0.
+    grid = [(gamma, h, True) for gamma in (0.0, 0.5, 1.0) for h in (1.2, 2.0, 5.0)]
+    grid += [(gamma, h, False) for gamma in (0.0, 0.5, 1.0) for h in (0.0, 0.5, 1.0)]
+    times = np.random.default_rng(N).uniform(0.0, 4.0 * N, 3)
+    for gamma, h, strict in grid:
+        params = ChainParams(N=N, kappa=1.0, gamma=gamma, h=h, strict=strict)
+        for t in times:
+            assert abs(pz_config_sum(params, 0.8, t) - _config_loop(params, 0.8, t)) < 1e-13, (gamma, h, t)
+
+
+@pytest.mark.parametrize("N", [100, 1000])
+def test_counted_sum_matches_closed_form_at_large_n(N):
+    times = np.sort(np.random.default_rng(N).uniform(0.0, 4.0 * N, 5))
+    for gamma in (0.0, 0.5, 1.0):
+        params = ChainParams(N=N, kappa=1.0, gamma=gamma, h=2.0)
+        closed = pz_trajectory(params, 0.9, times).samples
+        config = np.array([pz_config_sum(params, 0.9, t) for t in times])
+        assert np.abs(config - closed).max() < 1e-12, gamma
+
+
 def test_config_sum_matches_closed_form():
     for N in (4, 6):
         for gamma in (0.0, 0.5, 1.0):
@@ -316,8 +385,27 @@ def test_routes_agree_off_regime(gamma, h):
     assert np.abs(closed - oracle).max() < 1e-12
 
 
-def test_config_sum_cap():
+def test_config_sum_cap(monkeypatch):
     params = ChainParams(N=12, h=5.0)
+    assert abs(pz_config_sum(params, 1.0, 1.0) - pz_closed_form(params, 1.0, 1.0)) < 1e-12
+    assert dynamics.CONFIG_SUM_CAP >= 1000
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair arrays built above the cap")
+
+    monkeypatch.setattr(dynamics, "build_sectors", refuse)
     with pytest.raises(CapExceededError):
-        pz_config_sum(params, 1.0, 1.0)
-    assert pz_config_sum(ChainParams(N=4, h=5.0), 1.0, 1.0, cap=4) > 0.0
+        pz_config_sum(ChainParams(N=dynamics.CONFIG_SUM_CAP + 2, h=5.0), 1.0, 1.0)
+
+
+def test_pz_routes_refuse_a_ring_of_two():
+    # Both pz routes count configurations with a mode free of two fixed ones;
+    # at N = 2 there is none, and the closed form misses the oracle by 0.47.
+    params = ChainParams(N=2, kappa=1.0, gamma=0.5, h=2.0)
+    for route in (pz_closed_form, pz_config_sum):
+        with pytest.raises(ConfigError, match="N >= 4"):
+            route(params, 1.0, 1.0)
+    with pytest.raises(ConfigError, match="N >= 4"):
+        pz_trajectory(params, 1.0, np.array([0.0, 1.0]))
+    ed = oracle_trajectory(params, BathKind.INFINITE_T, Polarization3(0.0, 0.0, 1.0), np.array([0.0, 1.0]))
+    assert ed.samples[0, 2] == pytest.approx(1.0, abs=1e-12)

@@ -10,6 +10,7 @@ from xychain import (
     CapExceededError,
     ChainParams,
     ConfigError,
+    EigenstateBuilder,
     FermionConfig,
     Observable,
     Parity,
@@ -361,6 +362,20 @@ def test_spectrum_equivalence_pairs_each_block_with_its_sector(monkeypatch):
     monkeypatch.setattr(oracle, "_sector_levels", lambda params, parity: levels(params, other[parity]))
     with pytest.raises(SpectrumMismatchError):
         spectrum_equivalence(P6)
+
+
+@pytest.mark.parametrize("gamma, h", [(0.5, 0.5), (1.0, 0.0)])
+def test_fermionic_referee_refuses_field_below_coupling(gamma, h):
+    # Where epsilon < 0 the reconstructed levels miss the dense ones (by 0.43
+    # at (0.5, 0.5) and 1.0 at (1, 0)); the referee refuses rather than mismatch.
+    params = ChainParams(N=6, kappa=1.0, gamma=gamma, h=h, strict=False)
+    with pytest.raises(ConfigError, match="h > kappa"):
+        spectrum_equivalence(params)
+    for parity in Parity:
+        with pytest.raises(ConfigError, match="h > kappa"):
+            EigenstateBuilder(params, parity)
+    with pytest.raises(ConfigError, match="h > kappa"):
+        construct_eigenstate(FermionConfig.from_momenta([0]), params)
 
 
 def test_matrix_elements_against_dense_states():
