@@ -33,28 +33,23 @@ from .chain import (
     Parity,
     SpectralTable,
     build_sectors,
-    cos_theta,
     sector_for,
-    spectral_point,
     spectral_table,
 )
 from .dynamics import (
     BathKind,
     FermionConfig,
-    MatElemKind,
     Method,
     Trajectory,
-    matelem_diagonal,
-    matelem_offdiag,
     pz_closed_form,
     pz_config_sum,
     pz_trajectory,
+    sz_matrix_elements,
 )
 from .errors import (
     AnalysisError,
     CapExceededError,
     ConfigError,
-    DegenerateAngleError,
     DegenerateVacuumError,
     GridTooCoarseError,
     InsufficientTailError,

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .approx import regular_stage_pz
+from .approx import long_time_average, regular_stage_pz
 from .chain import ChainParams
 from .dynamics import BathKind, Trajectory, pz_trajectory, serial_kernel, usable_cpus
 from .errors import (
@@ -125,7 +125,7 @@ def timescales(traj: Trajectory) -> TimescaleReport:
     if traj.bath is BathKind.ZERO_T:
         target = -1.0
     else:
-        target = 2.0 * float(traj.samples[0, 2]) / traj.params.N
+        target = long_time_average(float(traj.samples[0, 2]), traj.params.N)
     p_perp = np.hypot(traj.samples[:, 0], traj.samples[:, 1])
     gap = traj.samples[:, 2] - target
     if p_perp[0] <= 0:

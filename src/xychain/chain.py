@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateAngleError
+from .errors import ConfigError
 
 
 class Parity(Enum):
@@ -165,22 +165,3 @@ def spectral_table(params: ChainParams, sector: MomentumSector) -> SpectralTable
         arr.setflags(write=False)
     return SpectralTable(params, sector, eps, Gam, E, theta, cos_th, bool(dead.any()))
 
-
-def spectral_point(params: ChainParams, q) -> tuple[float, float, float, float]:
-    """(epsilon, Gamma, E, theta) for a single momentum, sector-agnostic."""
-    q2 = _as_q2(q)
-    ang = math.pi * q2 / params.N
-    eps = params.h - params.kappa * math.cos(ang)
-    Gam = params.gamma * params.kappa * math.sin(ang)
-    E = math.hypot(eps, Gam)
-    if E == 0.0:
-        raise DegenerateAngleError(f"E = 0 at q = {q2}/2: Bogolyubov angle undefined")
-    return eps, Gam, E, math.atan2(-Gam, eps)
-
-
-def cos_theta(table: SpectralTable, q) -> float:
-    """Signed epsilon/E ratio at momentum q (exactly 1 when gamma = 0)."""
-    i = table.sector.index_of(q)
-    if table.E[i] == 0.0:
-        raise DegenerateAngleError(f"E = 0 at q = {q}: ratio undefined")
-    return float(table.cos_theta[i])

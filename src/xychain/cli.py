@@ -137,19 +137,20 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_evolve(args: argparse.Namespace) -> int:
-    params = _chain_params(args)
-    grid = _grid(args)
+def _trajectory(args: argparse.Namespace, params: ChainParams, grid: np.ndarray):
+    """The trajectory of args.method: closed form, weak-coupling law or dense oracle."""
     if args.method == "closed_form":
-        traj = pz_trajectory(params, args.p0z, grid)
-        header = ["t", "pz"]
-        rows = zip(traj.grid, traj.samples)
-    elif args.method == "niemeijer":
-        traj = niemeijer_trajectory(_p0(args), params, grid)
-        header = ["t", "px", "py", "pz"]
-        rows = ((t, *row) for t, row in zip(traj.grid, traj.samples))
-    else:
-        raise ConfigError(f"evolve does not support method {args.method!r}")
+        return pz_trajectory(params, args.p0z, grid)
+    if args.method == "niemeijer":
+        return niemeijer_trajectory(_p0(args), params, grid)
+    kind = BathKind(args.method.removeprefix("oracle_"))
+    return oracle_trajectory(params, kind, _p0(args), grid, cap=args.cap)
+
+
+def cmd_evolve(args: argparse.Namespace) -> int:
+    traj = _trajectory(args, _chain_params(args), _grid(args))
+    header = ["t", "px", "py", "pz"] if traj.is_vector else ["t", "pz"]
+    rows = zip(traj.grid, *traj.samples.reshape(traj.n_samples, -1).T)
     meta = {**traj.meta, "bath": traj.bath.value}
     json_extra = {"meta": meta, "run": _runconfig(args)}
     _emit_table(args, header, rows, json_extra, {"meta": meta, "method": traj.method.value})
@@ -174,6 +175,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _check_time_axis(tmax, args.points)
     if args.seed < 0:
         raise ConfigError("--seed must be nonnegative")
+    if args.N > CONFIG_SUM_CAP and args.N > args.cap:
+        raise CapExceededError(
+            f"compare at N={args.N} has only the closed form: N exceeds both the config-sum cap "
+            f"{CONFIG_SUM_CAP} and the oracle cap --cap {args.cap}"
+        )
     p0 = Polarization3(0.0, 0.0, args.p0z)
     rng = np.random.default_rng(args.seed)
     times = np.unique(rng.uniform(0.0, tmax, args.points))
@@ -220,19 +226,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     grid = _grid(args)
     if not (args.delta > 0 and np.isfinite(args.delta)):
         raise ConfigError("--delta must be positive and finite")
+    traj = _trajectory(args, params, grid)
     report: dict = {"run": _runconfig(args)}
-    if args.method == "closed_form":
-        traj = pz_trajectory(params, args.p0z, grid)
-        report["timescales"] = None  # needs transverse components
-    elif args.method == "niemeijer":
-        traj = niemeijer_trajectory(_p0(args), params, grid)
-    elif args.method in ("oracle_zero_T", "oracle_infinite_T"):
-        kind = BathKind(args.method.removeprefix("oracle_"))
-        traj = oracle_trajectory(params, kind, _p0(args), grid, cap=args.cap)
-    else:
-        raise ConfigError(f"analyze does not support method {args.method!r}")
-    if traj.is_vector:
-        report["timescales"] = timescales(traj).to_dict()
+    # timescales need the transverse components
+    report["timescales"] = timescales(traj).to_dict() if traj.is_vector else None
     stages = detect_stages(traj, params, args.p0z, delta_frac=args.delta)
     report["stages"] = stages.to_dict()
     if grid[-1] >= 10.0 * params.N / params.kappa:

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .chain import ChainParams, MomentumSector, Parity, SpectralTable, build_sectors, spectral_table
+from .chain import ChainParams, Parity, SpectralTable, build_sectors, spectral_table
 from .errors import CapExceededError, ConfigError
 
 # The kernel walks the time axis in chunks of whole rows.  Each of its
@@ -250,48 +250,18 @@ class FermionConfig:
         return len(self.occupied_q2)
 
 
-class MatElemKind(Enum):
-    SWAP = "swap"
-    PAIR_CREATE = "pair_create"
+def sz_matrix_elements(table: SpectralTable) -> tuple[np.ndarray, np.ndarray]:
+    """Probe-sz matrix elements between the eigenstates of one sector, (swap, pair).
 
-
-def _occupied_indices(config: FermionConfig, sector: MomentumSector) -> np.ndarray:
-    if config.parity is not sector.parity:
-        raise ConfigError("configuration and table belong to different parity sectors")
-    pos = {q2: i for i, q2 in enumerate(sector.q2)}
-    try:
-        return np.array([pos[v] for v in config.occupied_q2], dtype=np.intp)
-    except KeyError as bad:
-        raise ConfigError(f"momentum {bad.args[0]}/2 not in sector (N={sector.N})") from None
-
-
-def matelem_diagonal(config: FermionConfig, table: SpectralTable) -> float:
-    """Probe sz expectation in one many-body eigenstate.
-
-    (1/N) * [sum over occupied cos(theta) - sum over empty cos(theta)].
+    swap[a, b] = (2/N) cos((theta_a + theta_b)/2) moves one fermion from mode
+    a to mode b; pair[a, b] = (2/N) sin((theta_a - theta_b)/2) adds or removes
+    the pair (a, b); both up to sign.  An eigenstate's diagonal element is
+    (1/2) sum_a s_a swap[a, a], with s = +1 occupied and -1 empty.
     """
-    occ = _occupied_indices(config, table.sector)
-    c = np.cos(table.theta)
-    return float((2.0 * c[occ].sum() - c.sum()) / table.params.N)
-
-
-def matelem_offdiag(kind: MatElemKind, q, qtilde, table: SpectralTable) -> float:
-    """|probe-sz matrix element| between eigenstates differing in two slots.
-
-    SWAP: one occupied momentum moved from q to qtilde (same sector);
-    PAIR_CREATE: momenta q and qtilde both added (or both removed).
-    """
-    i = table.sector.index_of(q)
-    j = table.sector.index_of(qtilde)
-    if i == j:
-        raise ConfigError("off-diagonal element needs two distinct momenta")
-    N = table.params.N
-    ti, tj = table.theta[i], table.theta[j]
-    if kind is MatElemKind.SWAP:
-        return abs((2.0 / N) * np.cos(0.5 * (ti + tj)))
-    if kind is MatElemKind.PAIR_CREATE:
-        return abs((2.0 / N) * np.sin(0.5 * (ti - tj)))
-    raise ConfigError(f"unknown matrix-element kind {kind!r}")
+    theta = table.theta
+    swap = (2.0 / table.params.N) * np.cos(0.5 * np.add.outer(theta, theta))
+    pair = (2.0 / table.params.N) * np.sin(0.5 * np.subtract.outer(theta, theta))
+    return swap, pair
 
 
 # Largest N pz_config_sum accepts.  At N = 2000 its N x N pair arrays take
@@ -312,10 +282,9 @@ def pz_config_sum(params: ChainParams, p0z: float, t: float) -> float:
 
         pz = p0z/8 sum_sectors sum_{a,b} [S_ab cos((E_a - E_b) t) + P_ab cos((E_a + E_b) t)]
 
-    S_ab = ((2/N) cos((theta_a + theta_b)/2))^2 and P_ab = ((2/N) sin((theta_a - theta_b)/2))^2
-    are the squared swap and pair matrix elements; the a = b terms carry the
-    diagonal elements, sum_Q <Q|sz|Q>^2 / 2^N = sum_a cos^2(theta_a) / (2 N^2)
-    = sum_a S_aa / 8.  Elementwise products and numpy sums only, never BLAS,
+    S_ab and P_ab are the squared swap and pair elements of sz_matrix_elements;
+    the a = b terms carry the diagonal elements, sum_Q <Q|sz|Q>^2 / 2^N =
+    sum_a cos^2(theta_a) / (2 N^2) = sum_a S_aa / 8.  Elementwise products and numpy sums only, never BLAS,
     so a value does not depend on the BLAS thread count.  Cost ~ N^2.
     """
     N = params.N
@@ -325,9 +294,9 @@ def pz_config_sum(params: ChainParams, p0z: float, t: float) -> float:
     total = 0.0
     for sector in build_sectors(params):
         tab = spectral_table(params, sector)
-        theta, E = tab.theta, tab.E
-        swap_sq = ((2.0 / N) * np.cos(0.5 * np.add.outer(theta, theta))) ** 2
-        pair_sq = ((2.0 / N) * np.sin(0.5 * np.subtract.outer(theta, theta))) ** 2
-        total += (swap_sq * np.cos(np.subtract.outer(E, E) * float(t))).sum()
-        total += (pair_sq * np.cos(np.add.outer(E, E) * float(t))).sum()
+        swap, pair = sz_matrix_elements(tab)
+        swap **= 2
+        pair **= 2
+        total += (swap * np.cos(np.subtract.outer(tab.E, tab.E) * float(t))).sum()
+        total += (pair * np.cos(np.add.outer(tab.E, tab.E) * float(t))).sum()
     return float(p0z * total / 8.0)

@@ -19,10 +19,6 @@ class CapExceededError(XYChainError):
     """Requested system size exceeds a resource cap."""
 
 
-class DegenerateAngleError(XYChainError):
-    """Bogolyubov angle undefined because some single-mode energy vanishes."""
-
-
 class DegenerateVacuumError(XYChainError):
     """Pseudovacuum construction produced a (near-)null vector."""
 

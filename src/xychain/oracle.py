@@ -28,7 +28,6 @@ from .chain import (
     _as_q2,
     build_sectors,
     sector_for,
-    spectral_point,
     spectral_table,
 )
 from .dynamics import BathKind, FermionConfig, Method, Trajectory
@@ -366,8 +365,10 @@ class FermionOperators:
 
     def c_minus(self, q) -> np.ndarray:
         """Bogolyubov annihilator diagonalizing the sector Hamiltonian."""
-        _, _, _, theta = spectral_point(self.params, q)
-        return np.cos(theta / 2) * self.b_minus(q) - np.sin(theta / 2) * self.b_plus(-_as_q2(q) / 2)
+        q2 = _as_q2(q)
+        sector = build_sectors(self.params)[q2 % 2]  # (odd, even); odd-parity momenta have even q2
+        theta = spectral_table(self.params, sector).theta[sector.index_of(q)]
+        return np.cos(theta / 2) * self.b_minus(q) - np.sin(theta / 2) * self.b_plus(-q2 / 2)
 
     def c_plus(self, q) -> np.ndarray:
         return self.c_minus(q).conj().T

@@ -19,7 +19,6 @@ from xychain import (
     BathKind,
     ChainParams,
     FermionConfig,
-    MatElemKind,
     Parity,
     Polarization3,
     anisotropy_field_scan,
@@ -29,8 +28,6 @@ from xychain import (
     diagonalize,
     evolve,
     long_time_average,
-    matelem_diagonal,
-    matelem_offdiag,
     niemeijer_trajectory,
     oracle_trajectory,
     pz_closed_form,
@@ -40,6 +37,7 @@ from xychain import (
     sector_for,
     spectral_table,
     spectrum_equivalence,
+    sz_matrix_elements,
     timescales,
 )
 
@@ -103,9 +101,9 @@ def test_acceptance_2_spectrum_reconstruction():
 
 
 def test_acceptance_3_matrix_element_audit():
-    """Every probe-sz matrix element between eigenstates follows the
-    diagonal / swap / pair-creation closed forms, and parity forbids the
-    rest."""
+    """Every probe-sz matrix element between eigenstates is the diagonal /
+    swap / pair-creation element that pz_config_sum sums, and parity forbids
+    the rest."""
     worst_same = 0.0
     worst_cross = 0.0
     for N in (4, 6):
@@ -114,36 +112,33 @@ def test_acceptance_3_matrix_element_audit():
             for h in (2.0, 5.0):
                 params = ChainParams(N=N, gamma=gamma, h=h)
                 states = {}
-                tables = {}
                 for parity in (Parity.ODD, Parity.EVEN):
-                    tables[parity] = spectral_table(params, sector_for(params, parity))
                     states[parity] = [
                         (cfg, construct_eigenstate(cfg, params)[1])
                         for cfg in _admissible_configs(params, parity)
                     ]
                 for parity, entries in states.items():
-                    table = tables[parity]
+                    sector = sector_for(params, parity)
+                    swap, pair = sz_matrix_elements(spectral_table(params, sector))
+                    pos = {q2: k for k, q2 in enumerate(sector.q2)}
                     for i, (ca, va) in enumerate(entries):
                         for cb, vb in entries[i:]:
                             val = np.vdot(va, sz_diag * vb)
-                            only_a = sorted(set(ca.occupied_q2) - set(cb.occupied_q2))
-                            only_b = sorted(set(cb.occupied_q2) - set(ca.occupied_q2))
+                            only_a = sorted(pos[v] for v in set(ca.occupied_q2) - set(cb.occupied_q2))
+                            only_b = sorted(pos[v] for v in set(cb.occupied_q2) - set(ca.occupied_q2))
                             if not only_a and not only_b:
-                                ref = matelem_diagonal(ca, table)
+                                s = -np.ones(N)
+                                s[[pos[v] for v in ca.occupied_q2]] = 1.0
+                                ref = 0.5 * (s * np.diag(swap)).sum()
                                 worst_same = max(
                                     worst_same, abs(val.real - ref), abs(val.imag)
                                 )
                             elif len(only_a) == 1 and len(only_b) == 1:
-                                ref = matelem_offdiag(
-                                    MatElemKind.SWAP, only_a[0] / 2, only_b[0] / 2, table
-                                )
+                                ref = abs(swap[only_a[0], only_b[0]])
                                 worst_same = max(worst_same, abs(abs(val) - ref))
                             elif (len(only_a), len(only_b)) in ((0, 2), (2, 0)):
-                                pair = only_b if only_b else only_a
-                                ref = matelem_offdiag(
-                                    MatElemKind.PAIR_CREATE, pair[0] / 2, pair[1] / 2, table
-                                )
-                                worst_same = max(worst_same, abs(abs(val) - ref))
+                                a, b = only_b if only_b else only_a
+                                worst_same = max(worst_same, abs(abs(val) - abs(pair[a, b])))
                             else:
                                 worst_same = max(worst_same, abs(val))
                 for ca, va in states[Parity.ODD]:

@@ -13,11 +13,8 @@ from hypothesis import strategies as st
 from xychain import (
     ChainParams,
     ConfigError,
-    DegenerateAngleError,
     Parity,
     build_sectors,
-    cos_theta,
-    spectral_point,
     spectral_table,
 )
 
@@ -96,14 +93,14 @@ def test_cos_theta_lookup():
     params = ChainParams(N=8, kappa=1.0, gamma=1.0, h=2.0)
     t_odd, t_even = _tables(params)
     # q = 2: angle pi/2, eps = 2, Gamma = 1, ratio 2/sqrt(5)
-    assert abs(cos_theta(t_odd, 2) - 2.0 / math.sqrt(5.0)) < 1e-14
-    assert cos_theta(t_odd, 0) == 1.0  # Gamma vanishes at q = 0
-    val = cos_theta(t_even, Fraction(1, 2))
+    assert abs(t_odd.cos_theta[t_odd.sector.index_of(2)] - 2.0 / math.sqrt(5.0)) < 1e-14
+    assert t_odd.cos_theta[t_odd.sector.index_of(0)] == 1.0  # Gamma vanishes at q = 0
+    val = t_even.cos_theta[t_even.sector.index_of(Fraction(1, 2))]
     assert 0.0 < val < 1.0
     with pytest.raises(ConfigError):
-        cos_theta(t_odd, 0.3)  # not a (half-)integer
+        t_odd.sector.index_of(0.3)  # not a (half-)integer
     with pytest.raises(ConfigError):
-        cos_theta(t_odd, Fraction(1, 2))  # wrong sector
+        t_odd.sector.index_of(Fraction(1, 2))  # wrong sector
 
 
 def test_theta_zero_modes():
@@ -122,9 +119,10 @@ def test_degenerate_mode_flagged_permissive():
     t_odd, t_even = _tables(params)
     assert t_odd.degenerate  # E = 0 at q = 0 when h = kappa, gamma = 0
     i0 = t_odd.sector.index_of(0)
-    assert t_odd.E[i0] == 0.0 and t_odd.theta[i0] == 0.0
-    with pytest.raises(DegenerateAngleError):
-        cos_theta(t_odd, 0)
+    # a dead mode gets theta = 0 and ratio 1; every other mode keeps eps / E
+    assert t_odd.E[i0] == 0.0 and t_odd.theta[i0] == 0.0 and t_odd.cos_theta[i0] == 1.0
+    live = t_odd.E > 0
+    assert np.array_equal(t_odd.cos_theta[live], t_odd.epsilon[live] / t_odd.E[live])
     assert not t_even.degenerate
 
 
@@ -144,18 +142,12 @@ def test_determinism():
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
-def test_spectral_point_matches_table():
+def test_theta_cosine_matches_ratio():
     off_regime = ChainParams(N=8, kappa=1.3, gamma=0.3, h=0.5, strict=False)
     for params in (ChainParams(N=8, kappa=1.3, gamma=0.3, h=2.0), off_regime):
         for table in _tables(params):
             # off-regime too, theta is the angle whose cosine is epsilon/E
             assert np.all(np.abs(np.cos(table.theta) - table.cos_theta) <= 1e-15)
-            for i, q2 in enumerate(table.sector.q2):
-                eps, gam, energy, theta = spectral_point(params, q2 / 2)
-                assert abs(eps - table.epsilon[i]) < 1e-14
-                assert abs(gam - table.Gamma[i]) < 1e-14
-                assert abs(energy - table.E[i]) < 1e-14
-                assert abs(theta - table.theta[i]) < 1e-14
 
 
 params_strategy = st.builds(

@@ -224,6 +224,19 @@ class TestCompare:
         assert report["pairs"]["closed_form_vs_config_sum"]["pass"]
         assert sorted(report["values"]) == ["closed_form", "config_sum"]
 
+    def test_refused_when_one_route_remains(self, capsys, monkeypatch):
+        # above both the config-sum cap and --cap only the closed form is left: exit 3, no route run
+        def refuse(*args, **kwargs):
+            raise AssertionError("a route ran although nothing could be compared")
+
+        for name in ("pz_trajectory", "pz_config_sum", "oracle_trajectory"):
+            monkeypatch.setattr(xychain.cli, name, refuse)
+        N = xychain.dynamics.CONFIG_SUM_CAP + 2
+        assert main(["compare", "--N", str(N), "--h", "2", "--points", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(xychain.dynamics.CONFIG_SUM_CAP) in captured.err and "--cap 12" in captured.err
+
 
 class TestAnalyze:
     def test_weak_coupling_ratio(self, capsys):

@@ -18,18 +18,16 @@ from xychain import (
     ChainParams,
     ConfigError,
     FermionConfig,
-    MatElemKind,
     Method,
     Parity,
     Trajectory,
     XYChainError,
     build_sectors,
-    matelem_diagonal,
-    matelem_offdiag,
     pz_closed_form,
     pz_config_sum,
     pz_trajectory,
     spectral_table,
+    sz_matrix_elements,
 )
 from xychain import dynamics
 from xychain.analysis import _scan_pool
@@ -267,26 +265,12 @@ def test_fermion_config_validation():
 
 
 def test_matelem_isotropic_values():
+    # gamma = 0: all theta vanish, so every swap element is 2/N and no pair element survives
     params = ChainParams(N=6, kappa=1.0, gamma=0.0, h=2.5)
-    t_odd, _ = _tables(params)
-    # gamma = 0: all theta vanish, so the diagonal is (2M - N)/N exactly
-    assert matelem_diagonal(FermionConfig.from_momenta([-1, 0, 1]), t_odd) == 0.0
-    assert matelem_diagonal(FermionConfig.from_momenta([0]), t_odd) == (2 - 6) / 6
-    assert matelem_offdiag(MatElemKind.SWAP, 0, 1, t_odd) == 2.0 / 6.0
-    assert matelem_offdiag(MatElemKind.PAIR_CREATE, 0, 1, t_odd) == 0.0
-    with pytest.raises(ConfigError):
-        matelem_offdiag(MatElemKind.SWAP, 1, 1, t_odd)
-    with pytest.raises(ConfigError):
-        matelem_diagonal(FermionConfig.from_momenta([0]), _tables(params)[1])
-
-
-def test_matelem_membership_checked():
-    params = ChainParams(N=4, h=5.0)
-    t_odd, _ = _tables(params)
-    with pytest.raises(ConfigError):
-        matelem_diagonal(FermionConfig.from_momenta([7]), t_odd)  # q=7 not on the N=4 ring
-    with pytest.raises(ConfigError):
-        matelem_offdiag(MatElemKind.SWAP, 0, 9, t_odd)
+    for table in _tables(params):
+        swap, pair = sz_matrix_elements(table)
+        assert swap.shape == pair.shape == (6, 6)
+        assert np.all(swap == 2.0 / 6.0) and np.all(pair == 0.0)
 
 
 def _config_loop(params, p0z, t):

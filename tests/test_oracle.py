@@ -24,9 +24,6 @@ from xychain import (
     eigen_matrix_element,
     evolve,
     initial_state,
-    matelem_diagonal,
-    matelem_offdiag,
-    MatElemKind,
     oracle_trajectory,
     polarization,
     pz_closed_form,
@@ -34,6 +31,7 @@ from xychain import (
     sector_for,
     spectral_table,
     spectrum_equivalence,
+    sz_matrix_elements,
 )
 from xychain import oracle
 from xychain.oracle import _OBSERVABLE_MATRIX, SIGMA_X, SIGMA_Y, SIGMA_Z, site_op
@@ -379,20 +377,24 @@ def test_fermionic_referee_refuses_field_below_coupling(gamma, h):
 
 
 def test_matrix_elements_against_dense_states():
-    t_odd = spectral_table(P6, sector_for(P6, Parity.ODD))
+    sector = sector_for(P6, Parity.ODD)
+    swap, pair = sz_matrix_elements(spectral_table(P6, sector))
+    k = {q: sector.index_of(q) for q in (-2, -1, 0, 1, 2)}
     bra = FermionConfig.from_momenta([-1, 0, 1])
     ket = FermionConfig.from_momenta([-1, 0, 1])
     val = eigen_matrix_element(bra, ket, Observable.SZ, P6)
     assert abs(val.imag) < 1e-12
-    assert abs(val.real - matelem_diagonal(bra, t_odd)) < 1e-10
+    s = -np.ones(P6.N)
+    s[[k[-1], k[0], k[1]]] = 1.0
+    assert abs(val.real - 0.5 * (s * np.diag(swap)).sum()) < 1e-10
     # swap: one momentum moves 1 -> 2
     ket_swap = FermionConfig.from_momenta([-1, 0, 2])
     val = eigen_matrix_element(bra, ket_swap, Observable.SZ, P6)
-    assert abs(abs(val) - matelem_offdiag(MatElemKind.SWAP, 1, 2, t_odd)) < 1e-10
+    assert abs(abs(val) - abs(swap[k[1], k[2]])) < 1e-10
     # pair: two momenta added on top
     ket_pair = FermionConfig.from_momenta([-2, -1, 0, 1, 2])
     val = eigen_matrix_element(bra, ket_pair, Observable.SZ, P6)
-    assert abs(abs(val) - matelem_offdiag(MatElemKind.PAIR_CREATE, -2, 2, t_odd)) < 1e-10
+    assert abs(abs(val) - abs(pair[k[-2], k[2]])) < 1e-10
     # three-momentum rearrangement: forbidden
     ket_far = FermionConfig.from_momenta([-2, 2, 3])
     assert abs(eigen_matrix_element(bra, ket_far, Observable.SZ, P6)) < 1e-10
